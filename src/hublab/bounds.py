@@ -3,7 +3,8 @@
 Exact-rational tables of pair counts N_k, per-distance dual weights y*_k,
 psi(k) = N_k * y*_k, the disjoint-pair graphs behind them, LP builders for
 the covering primal, the path-packing dual, and the distance-symmetric
-("regular") LP, plus log-space asymptotics that recover the 2.5 growth
+("regular") LP, whose optimum ROPT is found by row generation with an exact
+min-cut separation, plus log-space asymptotics that recover the 2.5 growth
 constant. Floats appear only in the log-space helpers; everything else is
 fractions.Fraction.
 """
@@ -13,13 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from .graph import Graph, bfs_distances, popcount
-from .lp import GEQ, LEQ, RationalLP
+from .lp import GEQ, LEQ, LPSolution, RationalLP, solve
 
 MAX_REGULAR_D = 4
+MAX_ROPT_D = 7
 MAX_DUAL_D = 3
 MAX_PRIMAL_D = 2
 MAX_PRIMAL_D_FORCED = 3
@@ -35,6 +37,10 @@ def pair_count(d: int, k: int) -> Fraction:
     if k == 0:
         return Fraction(1 << d)
     return Fraction((1 << d) * comb(d, k), 2)
+
+
+class BoundCheckError(ValueError):
+    """An exact identity or inequality the bounds rest on failed."""
 
 
 def _check_k(d: int, k: int) -> None:
@@ -67,7 +73,8 @@ def densest_component(d: int, k: int) -> tuple[int, Fraction]:
     best_i = k // 2
     best = component_density(d, k, best_i)
     for i in range(k // 2 + 1):
-        assert component_density(d, k, i) <= best
+        if component_density(d, k, i) > best:
+            raise BoundCheckError(f"d={d}, k={k}: component {i} is denser than the middle one")
     return best_i, best
 
 
@@ -319,6 +326,139 @@ def build_regular_lp(d: int, self_pairs: bool = True) -> RationalLP:
     )
 
 
+def _min_cut(n: int, arcs: list, s: int, t: int) -> tuple[int, list]:
+    """Maximum s-t flow value over integer-capacity arcs (u, v, cap) on nodes
+    0..n-1, by Dinic's algorithm, and the source side of a minimum cut as a
+    per-node flag (the nodes the residual graph reaches from s)."""
+    head, cap, out = [], [], [[] for _ in range(n)]
+    for u, v, c in arcs:
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for e in out[u]:
+                if cap[e] and level[head[e]] < 0:
+                    level[head[e]] = level[u] + 1
+                    queue.append(head[e])
+        if level[t] < 0:
+            return flow, [lv >= 0 for lv in level]
+        # blocking flow: depth-first along level-increasing arcs, each node
+        # resuming at the first arc it has not yet found useless
+        nxt = [0] * n
+        path = []
+        u = s
+        while True:
+            if u == t:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                flow += push
+                path.clear()
+                u = s
+                continue
+            arcs_u = out[u]
+            while nxt[u] < len(arcs_u):
+                e = arcs_u[nxt[u]]
+                if cap[e] and level[head[e]] == level[u] + 1:
+                    break
+                nxt[u] += 1
+            else:
+                if u == s:
+                    break
+                e = path.pop()
+                u = head[e ^ 1]
+                nxt[u] += 1
+                continue
+            path.append(e)
+            u = head[e]
+
+
+def most_violated_subset(d: int, y: dict) -> tuple[Fraction, int]:
+    """The most violated row of the regular LP at weights y (distance k -> y_k):
+    the maximum over vertex subsets S of Q_d, the empty set included, of the
+    sum of y_dist over pairs within S through the all-zeros vertex minus |S|,
+    with a maximizing S as a vertex bitmask.
+
+    A max-weight closure solved by one minimum cut, after Goldberg, "Finding
+    a maximum density subgraph" (1984): the source feeds each pair edge its
+    weight, a pair edge leads with unbounded capacity to its endpoints (the
+    self-pair (0, 0) has one), and each vertex drains 1 into the sink.
+    Classes absent from y take no part, so a y without 0 leaves out the
+    self-pair. Capacities are the weights times their common denominator,
+    so the cut is exact; the closure's own value must equal the flow's
+    bound, which proves it maximal.
+    """
+    for k, w in y.items():
+        _check_k(d, k)
+        if w < 0:
+            raise ValueError(f"negative weight {w} for distance {k}")
+    y = {k: Fraction(w) for k, w in y.items() if w}
+    scale = lcm(*(w.denominator for w in y.values()))
+    n = 1 << d
+    pairs = [(i, j, int(w * scale)) for k, w in y.items() for i, j in disjoint_pair_edges(d, k)]
+    total = sum(w for _, _, w in pairs)
+    # node 0 is the source, 1 the sink, 2 + v vertex v; pair edges follow
+    arcs = [(2 + v, 1, scale) for v in range(n)]
+    for p, (i, j, w) in enumerate(pairs, start=2 + n):
+        arcs.append((0, p, w))
+        arcs.extend((p, 2 + v, total + 1) for v in {i, j})
+    flow, source_side = _min_cut(2 + n + len(pairs), arcs, 0, 1)
+    S = sum(1 << v for v in range(n) if source_side[2 + v])
+    gain = sum(w for i, j, w in pairs if S >> i & 1 and S >> j & 1) - scale * S.bit_count()
+    if gain != total - flow:
+        raise BoundCheckError(
+            f"d={d}: closure value {gain} differs from the cut bound {total - flow}"
+        )
+    return Fraction(gain, scale), S
+
+
+def regular_lp_optimum(d: int, self_pairs: bool = True) -> LPSolution:
+    """ROPT, the optimum of the regular LP (`build_regular_lp`), by row
+    generation.
+
+    Starts from the single row S = V(Q_d), solves the restricted LP and adds
+    the most violated subset row until `most_violated_subset` reports no
+    violation. That proves the restricted optimum y feasible for all
+    2^(2^d) - 1 rows, and the restricted program's certified dual, padded
+    with zeros, certifies it optimal for the full one. Returns the final
+    restricted solution.
+    """
+    if not 0 <= d <= MAX_ROPT_D:
+        raise ValueError(f"ROPT row generation capped at d <= {MAX_ROPT_D}")
+    ks = list(range(0 if self_pairs else 1, d + 1))
+    pairs = [(i, j, idx) for idx, k in enumerate(ks) for i, j in disjoint_pair_edges(d, k)]
+
+    def row(S: int) -> tuple:
+        coeffs = [0] * len(ks)
+        for i, j, idx in pairs:
+            if S >> i & 1 and S >> j & 1:
+                coeffs[idx] += 1
+        return coeffs, LEQ, S.bit_count()
+
+    rows = [row((1 << (1 << d)) - 1)]
+    while True:
+        sol = solve(RationalLP(
+            sense="max",
+            objective=[pair_count(d, k) for k in ks],
+            rows=rows,
+            var_names=[f"y~{k}" for k in ks],
+            name=f"regular-lp-d{d}-rows{len(rows)}",
+        ))
+        violation, S = most_violated_subset(d, dict(zip(ks, sol.values)))
+        if violation <= 0:
+            return sol
+        rows.append(row(S))
+
+
 def _all_pairs(n: int, self_pairs: bool) -> list[tuple[int, int]]:
     ps = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if self_pairs:
@@ -444,8 +584,9 @@ class BoundReport:
     sandwiches: Optional[list] = None  # provenance strings
 
     def __post_init__(self):
-        for _, nk, ys, ps in self.table:
-            assert ps == nk * ys
+        for k, nk, ys, ps in self.table:
+            if ps != nk * ys:
+                raise BoundCheckError(f"k={k}: psi {ps} != N_k * y*_k = {nk * ys}")
 
 
 def bound_report(
@@ -460,15 +601,16 @@ def bound_report(
     ropt = lopt = opt = None
     sandwiches = []
     if with_lp:
-        from .lp import solve
-
-        if d <= MAX_REGULAR_D:
-            ropt = solve(build_regular_lp(d, self_pairs=self_pairs)).value
+        if d <= MAX_ROPT_D:
+            ropt = regular_lp_optimum(d, self_pairs=self_pairs).value
+            # single-class points give the lower end; y_k <= y*_k the upper
+            lo = max((psi(d, k) for k in range(0 if self_pairs else 1, d + 1)), default=Fraction(0))
             sandwiches.append(
-                f"max_k psi(k) = {max_psi} <= ROPT = {ropt} <= "
-                f"(d+1)*max_k psi(k) = {(d + 1) * max_psi}"
+                f"max_k psi(k) = {lo} <= ROPT = {ropt} <= "
+                f"(d+1)*max_k psi(k) = {(d + 1) * lo}"
             )
-            assert max_psi <= ropt <= (d + 1) * max_psi
+            if not lo <= ropt <= (d + 1) * lo:
+                raise BoundCheckError(f"d={d}: ROPT {ropt} outside its psi sandwich")
         # pair-packing solve at d=3 takes minutes in exact rationals; only
         # report it where it is cheap (the builder itself still allows d=3)
         if d <= MAX_PRIMAL_D:

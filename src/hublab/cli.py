@@ -33,7 +33,7 @@ from .labeling import (
     total_size,
     verify_cover,
 )
-from .lp import solve
+from .lp import LPCertificateError
 from .oracle import brute_optimal_hhl_hypercube, brute_optimal_hl
 
 
@@ -184,8 +184,11 @@ def cmd_gap_report(args) -> int:
             g = hypercube(d)
             sub = cons.subset_hhl(d, graph=g)
             half = cons.halfsplit_hl(d, graph=g)
-            assert total_size(sub) == hhl
-            assert total_size(half) == dedup
+            if (total_size(sub), total_size(half)) != (hhl, dedup):
+                raise DomainError(
+                    f"materialized sizes {total_size(sub)}, {total_size(half)} at d={d} "
+                    f"differ from the formulas {hhl}, {dedup}"
+                )
             sample = None if d <= 8 else args.sample
             ok_s = verify_cover(g, sub, sample=sample, seed=args.seed).valid
             ok_h = verify_cover(g, half, sample=sample, seed=args.seed).valid
@@ -211,8 +214,6 @@ def cmd_gap_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hublab", description=__doc__)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (current implementation is sequential)")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a graph")
@@ -278,9 +279,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (
@@ -289,6 +287,7 @@ def main(argv=None) -> int:
         GraphFormatError,
         LabelingFormatError,
         FingerprintMismatch,
+        LPCertificateError,
         ValueError,
         OSError,
     ) as e:

@@ -16,6 +16,7 @@ peeling order below) make the construction deterministic.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -67,29 +68,31 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
     for i in range(n):
         for j in range(i, n):
             uncovered.add(pid(i, j))
-    # per-center list of coverable pairs, pruned in place as pairs get covered
+    # per-center ids of coverable pairs, pruned as pairs get covered; held as
+    # machine integers, since there can be up to about n^3 / 2 of them
     coverable = []
     for v in range(n):
         dv = dist[v]
-        lst = []
+        ids = array("q")
         for i in range(n):
             dvi = dv[i]
             di = dist[i]
             for j in range(i, n):
                 if dvi + dv[j] == di[j]:
-                    lst.append((i, j))
-        coverable.append(lst)
+                    ids.append(pid(i, j))
+        coverable.append(ids)
 
     labels: list[set] = [set() for _ in range(n)]
     size = 0
     steps: list[GreedyStep] = []
 
     def evaluate(v):
-        """Best (density, group, covered pairs) for center v via peeling."""
-        pairs = [p for p in coverable[v] if pid(*p) in uncovered]
-        coverable[v] = pairs
-        if not pairs:
+        """Best (density, group, covered pair ids) for center v via peeling."""
+        ids = array("q", [p for p in coverable[v] if p in uncovered])
+        coverable[v] = ids
+        if not ids:
             return None
+        pairs = [divmod(p, n) for p in ids]
         inc: dict = {}
         for i, j in pairs:
             inc.setdefault(i, []).append((i, j))
@@ -130,9 +133,9 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
             if best is None or key < best[0]:
                 best = (key, dens, members)
         _, dens, members = best
-        covered = [
-            (i, j) for i, j in pairs if i in members and j in members
-        ]
+        covered = array("q", (
+            pid(i, j) for i, j in pairs if i in members and j in members
+        ))
         return dens, tuple(sorted(members)), covered
 
     # lazy-greedy selection: cached densities are upper bounds
@@ -159,8 +162,7 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
             raise AssertionError("uncovered pairs remain but no center can cover them")
         v, (dens, group, covered) = entry
         newly = 0
-        for p in covered:
-            key = pid(*p)
+        for key in covered:
             if key in uncovered:
                 uncovered.discard(key)
                 newly += 1

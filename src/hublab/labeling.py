@@ -33,8 +33,8 @@ class Labeling:
     """Immutable per-vertex hub lists with stored distances.
 
     labels[v] is a tuple of (hub, dist) sorted ascending by hub id, hubs
-    distinct. `fingerprint` is the (n, m, hash) triple of the graph the
-    labeling was built for.
+    distinct and in [0, n). `fingerprint` is the (n, m, hash) triple of the
+    graph the labeling was built for.
     """
 
     __slots__ = ("labels", "fingerprint", "_hub_maps", "_hub_sets")
@@ -45,6 +45,7 @@ class Labeling:
         fingerprint: Optional[tuple[int, int, str]] = None,
     ):
         canon = []
+        n = len(labels)
         for v, lab in enumerate(labels):
             lab = tuple((int(h), int(dd)) for h, dd in lab)
             hubs = [h for h, _ in lab]
@@ -53,6 +54,8 @@ class Labeling:
                 hubs = [h for h, _ in lab]
             if len(set(hubs)) != len(hubs):
                 raise LabelingFormatError(f"duplicate hub in label of vertex {v}")
+            if hubs and (hubs[0] < 0 or hubs[-1] >= n):
+                raise LabelingFormatError(f"hub out of range [0, {n}) in label of vertex {v}")
             if any(dd < 0 for _, dd in lab):
                 raise LabelingFormatError(f"negative distance in label of vertex {v}")
             canon.append(lab)
@@ -148,13 +151,25 @@ class _DistanceOracle:
 
 
 def _pair_covered(lab: Labeling, oracle: _DistanceOracle, s: int, t: int) -> bool:
+    """The query answer, the minimum over common hubs, is the true distance."""
     hs = lab.hub_sets()
     common = hs[s] & hs[t]
     if not common:
         return False
     ms, mt = lab.hub_maps()[s], lab.hub_maps()[t]
-    d = oracle.dist(s, t)
-    return any(ms[u] + mt[u] == d for u in common)
+    return min(ms[u] + mt[u] for u in common) == oracle.dist(s, t)
+
+
+def _check_stored(lab: Labeling, oracle: _DistanceOracle, s: int) -> None:
+    """Raise LabelingFormatError unless every stored distance in L(s) is true."""
+    if oracle.g.is_hypercube is not None:
+        # Hamming distance inline: this runs once per entry of every label checked
+        wrong = [(h, dd) for h, dd in lab.labels[s] if (s ^ h).bit_count() != dd]
+    else:
+        wrong = [(h, dd) for h, dd in lab.labels[s] if oracle.dist(s, h) != dd]
+    if wrong:
+        h, dd = wrong[0]
+        raise LabelingFormatError(f"stored distance {dd} for hub {h} of vertex {s} is wrong")
 
 
 def verify_cover(
@@ -166,9 +181,11 @@ def verify_cover(
     """Check the cover property against exact BFS distances.
 
     Exhaustive over all unordered pairs (self-pairs included) by default;
-    with `sample` set, checks that many uniformly random pairs instead.
-    Stored hub distances are also validated against the oracle on exhaustive
-    runs. Violations are reported sorted by (s, t), truncated to the first
+    with `sample` set, checks that many uniformly random pairs instead. A
+    pair is covered when the query answer equals the BFS distance. The
+    stored hub distances of every label checked are validated against the
+    oracle first (LabelingFormatError if one is wrong). Violations are
+    reported sorted by (s, t), truncated to the first
     MAX_REPORTED_VIOLATIONS.
     """
     if lab.fingerprint is not None and lab.fingerprint != g.fingerprint():
@@ -183,11 +200,7 @@ def verify_cover(
     checked = 0
     if sample is None:
         for s in range(g.n):
-            for h, dd in lab.labels[s]:
-                if oracle.dist(s, h) != dd:
-                    raise LabelingFormatError(
-                        f"stored distance {dd} for hub {h} of vertex {s} is wrong"
-                    )
+            _check_stored(lab, oracle, s)
         for s in range(g.n):
             for t in range(s, g.n):
                 checked += 1
@@ -199,11 +212,18 @@ def verify_cover(
     else:
         rng = random.Random(seed)
         n = g.n
+        stored_ok = bytearray(n)
         for _ in range(sample):
             s = rng.randrange(n)
             t = rng.randrange(n)
             if s > t:
                 s, t = t, s
+            if not stored_ok[s]:
+                _check_stored(lab, oracle, s)
+                stored_ok[s] = 1
+            if not stored_ok[t]:
+                _check_stored(lab, oracle, t)
+                stored_ok[t] = 1
             checked += 1
             if not _pair_covered(lab, oracle, s, t):
                 if len(violations) < MAX_REPORTED_VIOLATIONS:
@@ -240,7 +260,7 @@ def is_hierarchical(lab: Labeling) -> HierarchyReport:
             v, it = stack[-1]
             advanced = False
             for w in it:
-                if w == v or w >= n:
+                if w == v:
                     continue
                 if color[w] == GRAY:
                     # reconstruct cycle w -> ... -> v -> w

@@ -1,9 +1,9 @@
 """Exact-rational linear programs and a dense two-phase simplex solver.
 
 All arithmetic is over fractions.Fraction; no floating point. Pivoting uses
-Bland's rule, so the solver terminates on every input. Returned optimal
-assignments are re-verified against every original constraint by exact
-substitution before the solution is handed back.
+Bland's rule, so the solver terminates on every input. Every optimum comes
+with a dual vector, and the pair is certified exactly (primal feasibility,
+dual feasibility, equal objective values) before it is handed back.
 """
 from __future__ import annotations
 
@@ -21,6 +21,10 @@ DEFAULT_MAX_CELLS = 3_000_000
 
 class LPSizeError(ValueError):
     """Instance exceeds the configured tableau-size guard."""
+
+
+class LPCertificateError(ArithmeticError):
+    """A claimed optimum failed its exact primal-dual certificate check."""
 
 
 @dataclass
@@ -69,23 +73,103 @@ class LPSolution:
     value: Optional[Fraction] = None
     values: Optional[list] = None  # per-variable, original order
     assignment: dict = field(default_factory=dict)  # var name -> Fraction
+    duals: Optional[list] = None  # per-row multipliers, original order (see `certify`)
 
 
-def _feasible(lp: RationalLP, x: Sequence[Fraction]) -> bool:
-    for i, (flag, xi) in enumerate(zip(lp.nonneg, x)):
-        if flag and xi < 0:
-            return False
-    for coeffs, rel, rhs in lp.rows:
-        lhs = sum(c * xi for c, xi in zip(coeffs, x) if c)
-        if rel == LEQ and lhs > rhs:
-            return False
-        if rel == GEQ and lhs < rhs:
-            return False
-    return True
+def certify(lp: RationalLP, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+    """Exact optimality certificate: x primal-feasible, y dual-feasible, c.x == b.y.
+
+    Sign convention for the multiplier y_i of row i: y_i >= 0 on the rows
+    whose relation suits the sense (<= in a max program, >= in a min one)
+    and y_i <= 0 on the others. Dual feasibility is A^T y >= c (max) or
+    A^T y <= c (min) on nonnegative variables and A^T y == c on free ones;
+    with it, weak duality bounds every feasible objective by b.y. Returns
+    the common objective value; raises LPCertificateError otherwise.
+    """
+    if len(x) != lp.num_vars or len(y) != lp.num_rows:
+        raise LPCertificateError(
+            f"{lp.name}: certificate sizes {len(x)}/{len(y)} != "
+            f"{lp.num_vars} vars/{lp.num_rows} rows"
+        )
+    sign = 1 if lp.sense == "max" else -1
+    natural = LEQ if lp.sense == "max" else GEQ
+    for j, (flag, xj) in enumerate(zip(lp.nonneg, x)):
+        if flag and xj < 0:
+            raise LPCertificateError(f"{lp.name}: {lp.var_names[j]} = {xj} < 0")
+    reduced = [-c for c in lp.objective]  # A^T y - c
+    dual_value = Fraction(0)
+    for i, ((coeffs, rel, rhs), yi) in enumerate(zip(lp.rows, y)):
+        lhs = sum(c * xj for c, xj in zip(coeffs, x) if c)
+        if lhs > rhs if rel == LEQ else lhs < rhs:
+            raise LPCertificateError(f"{lp.name}: row {lp.row_names[i]} violated")
+        if not yi:
+            continue
+        if (yi < 0) == (rel == natural):
+            raise LPCertificateError(f"{lp.name}: multiplier of {lp.row_names[i]} has the wrong sign")
+        dual_value += yi * rhs
+        for j, c in enumerate(coeffs):
+            if c:
+                reduced[j] += c * yi
+    for j, (flag, r) in enumerate(zip(lp.nonneg, reduced)):
+        if sign * r < 0 if flag else r != 0:
+            raise LPCertificateError(f"{lp.name}: dual constraint of {lp.var_names[j]} violated")
+    value = sum(c * xj for c, xj in zip(lp.objective, x))
+    if value != dual_value:
+        raise LPCertificateError(f"{lp.name}: primal {value} != dual {dual_value}")
+    return value
+
+
+def _is_packing(lp: RationalLP) -> bool:
+    """max c.x, every row <= with rhs >= 0, x >= 0: the origin is feasible."""
+    return lp.sense == "max" and all(lp.nonneg) and all(
+        rel == LEQ and rhs >= 0 for _, rel, rhs in lp.rows
+    )
+
+
+def _transpose(lp: RationalLP) -> RationalLP:
+    """The dual of a packing program: min b.z subject to A^T z >= c, z >= 0."""
+    return RationalLP(
+        sense="min",
+        objective=[rhs for _, _, rhs in lp.rows],
+        rows=[
+            ([coeffs[j] for coeffs, _, _ in lp.rows], GEQ, c)
+            for j, c in enumerate(lp.objective)
+        ],
+        name=f"{lp.name}^T",
+    )
 
 
 def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
-    """Exact optimum by two-phase tableau simplex with Bland's rule."""
+    """Exact optimum by two-phase tableau simplex with Bland's rule.
+
+    A packing program with more rows than variables is solved through its
+    transpose, whose tableau has one row per variable; its dual vector is the
+    primal solution. An optimal result is returned only after `certify`
+    accepts the primal-dual pair.
+    """
+    if _is_packing(lp) and lp.num_rows > lp.num_vars:
+        status, y, x = _simplex(_transpose(lp), max_cells)
+        if status == "infeasible":
+            # the origin is primal-feasible, so an infeasible dual means an
+            # unbounded primal
+            return LPSolution(status="unbounded")
+        if status == "unbounded":
+            raise LPCertificateError(f"{lp.name}: dual unbounded although the origin is feasible")
+    else:
+        status, x, y = _simplex(lp, max_cells)
+        if status != "optimal":
+            return LPSolution(status=status)
+    return LPSolution(
+        status="optimal",
+        value=certify(lp, x, y),
+        values=x,
+        assignment={name: xi for name, xi in zip(lp.var_names, x)},
+        duals=y,
+    )
+
+
+def _simplex(lp: RationalLP, max_cells: int) -> tuple[str, Optional[list], Optional[list]]:
+    """(status, primal values, row multipliers); the vectors only when optimal."""
     # free variables are split into a difference of two nonnegative ones
     split = []  # column index of the negative part, or None
     col_of_var = []
@@ -117,6 +201,7 @@ def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
     # build rows with rhs >= 0
     Z = Fraction(0)
     rows = []
+    flipped = []
     for coeffs, rel, rhs in lp.rows:
         r = [Z] * ncols
         for j, c in enumerate(coeffs):
@@ -124,6 +209,7 @@ def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
                 r[col_of_var[j]] += c
                 if split[j] is not None:
                     r[split[j]] -= c
+        flipped.append(rhs < 0)
         if rhs < 0:
             r = [-c for c in r]
             rhs = -rhs
@@ -175,8 +261,9 @@ def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
                 tab[i] = [a - f * b for a, b in zip(row, prow)]
         basis[pr] = pc
 
-    def run_phase(costs: list) -> Optional[str]:
-        """Maximize costs.x with Bland's rule; returns 'unbounded' or None."""
+    def run_phase(costs: list) -> Optional[list]:
+        """Maximize costs.x with Bland's rule; the final reduced-cost row, or
+        None when unbounded."""
         # reduced costs maintained as an explicit objective row
         zrow = list(costs) + [Z]
         for i, b in enumerate(basis):
@@ -190,7 +277,7 @@ def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
                     pc = j
                     break
             if pc < 0:
-                return None
+                return zrow
             pr = -1
             best = None
             for i, row in enumerate(tab):
@@ -202,7 +289,7 @@ def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
                         best = ratio
                         pr = i
             if pr < 0:
-                return "unbounded"
+                return None
             pivot(pr, pc)
             f = zrow[pc]
             if f:
@@ -212,11 +299,11 @@ def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
         phase1 = [Z] * ncols_t
         for j in range(total - n_art, total):
             phase1[j] = Fraction(-1)
-        status = run_phase(phase1)
-        assert status is None  # phase 1 is always bounded
+        if run_phase(phase1) is None:
+            raise LPCertificateError(f"{lp.name}: phase 1 reported unbounded, but is bounded by 0")
         art_value = sum(tab[i][-1] for i, b in enumerate(basis) if b >= total - n_art)
         if art_value != 0:
-            return LPSolution(status="infeasible")
+            return "infeasible", None, None
         # drive remaining artificials out of the basis where possible
         for i in range(len(basis)):
             if basis[i] >= total - n_art:
@@ -229,9 +316,9 @@ def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
             for j in range(total - n_art, total):
                 row[j] = Z
     phase2 = list(obj) + [Z] * (ncols_t - ncols)
-    status = run_phase(phase2)
-    if status == "unbounded":
-        return LPSolution(status="unbounded")
+    zrow = run_phase(phase2)
+    if zrow is None:
+        return "unbounded", None, None
 
     xcols = [Z] * ncols_t
     for i, b in enumerate(basis):
@@ -242,15 +329,14 @@ def solve(lp: RationalLP, max_cells: int = DEFAULT_MAX_CELLS) -> LPSolution:
         if split[j] is not None:
             v -= xcols[split[j]]
         x.append(v)
-    value = sum(c * xi for c, xi in zip(lp.objective, x))
-    if not _feasible(lp, x):
-        raise AssertionError(f"{lp.name}: simplex returned an infeasible point")
-    return LPSolution(
-        status="optimal",
-        value=value,
-        values=x,
-        assignment={name: xi for name, xi in zip(lp.var_names, x)},
-    )
+    # The multiplier of tableau row i is (c_B B^-1)_i, read off the reduced
+    # cost of its slack (-pi_i) or surplus (+pi_i) column; it changes sign
+    # with a flipped row and, for a min program, with the negated objective.
+    y = []
+    for i, (_, rel, _) in enumerate(rows):
+        pi = -zrow[ncols + i] if rel == LEQ else zrow[ncols + i]
+        y.append(-pi if flipped[i] != (not maximize) else pi)
+    return "optimal", x, y
 
 
 def dump_lp(lp: RationalLP) -> str:

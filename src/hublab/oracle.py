@@ -21,8 +21,6 @@ from .labeling import Labeling, total_size
 MAX_BRUTE_HL_N = 6
 MAX_BRUTE_HHL_D = 3
 
-ORACLE_VERSION = "bb-1"
-
 
 @dataclass
 class OracleResult:
@@ -30,7 +28,6 @@ class OracleResult:
     labeling: Optional[Labeling]
     nodes_explored: int
     elapsed: float
-    oracle_version: str = ORACLE_VERSION
 
 
 def brute_optimal_hl(g: Graph, self_pairs: bool = True) -> OracleResult:

@@ -278,3 +278,58 @@ def test_primal_lp_graph_matches_hypercube_builder():
     a = solve(B.build_primal_lp(2)).value
     b = solve(B.build_primal_lp_graph(g)).value
     assert a == b == 8
+
+
+def _subset_gain(d, y, S):
+    """sum of y_dist over pairs within S through vertex 0, minus |S| (S a bitmask)."""
+    gain = -F(S.bit_count())
+    for k, w in y.items():
+        for i, j in B.disjoint_pair_edges(d, k):
+            if S >> i & 1 and S >> j & 1:
+                gain += w
+    return gain
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_separation_equals_brute_force(d):
+    rng = random.Random(d)
+    for trial in range(20):
+        ks = range(0 if trial % 2 else 1, d + 1)
+        y = {k: F(rng.randrange(0, 13), rng.randrange(1, 6)) for k in ks}
+        value, S = B.most_violated_subset(d, y)
+        brute = max(_subset_gain(d, y, T) for T in range(1 << (1 << d)))
+        assert value == brute == _subset_gain(d, y, S)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_separation_zero_exactly_at_inverse_density(d):
+    for k in range(1, d + 1):
+        y_k = 1 / B.brute_densest_subgraph(d, k)
+        assert B.most_violated_subset(d, {k: y_k})[0] == 0
+        assert B.most_violated_subset(d, {k: y_k * F(101, 100)})[0] > 0
+
+
+@pytest.mark.parametrize("self_pairs", [True, False])
+@pytest.mark.parametrize("d", range(5))
+def test_row_generation_matches_materialized_lp(d, self_pairs):
+    sol = B.regular_lp_optimum(d, self_pairs=self_pairs)
+    assert sol.value == solve(B.build_regular_lp(d, self_pairs=self_pairs)).value
+    assert B.bound_report(d, with_lp=True, self_pairs=self_pairs).ropt == sol.value
+
+
+def test_ropt_beyond_materialization():
+    greedy_sizes = {5: 228, 6: 643}
+    for self_pairs, expected in ((True, {5: 176, 6: 464}), (False, {5: 160, 6: 432})):
+        for d, ropt in expected.items():
+            rep = B.bound_report(d, with_lp=True, self_pairs=self_pairs)
+            assert rep.ropt == ropt
+            assert rep.max_psi <= ropt <= (d + 1) * rep.max_psi
+            assert ropt <= greedy_sizes[d]
+    assert B.regular_lp_optimum(7).value == F(6208, 5)
+    with pytest.raises(ValueError):
+        B.regular_lp_optimum(B.MAX_ROPT_D + 1)
+
+
+def test_bound_report_rejects_inconsistent_row():
+    with pytest.raises(B.BoundCheckError):
+        B.BoundReport(d=1, table=[(0, F(2), F(1), F(3))], argmax_k=0, max_psi=F(3))

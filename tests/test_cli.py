@@ -143,6 +143,11 @@ def test_bounds_with_lp_and_oracle(capsys):
     assert "OPT = 3" in out
 
 
+def test_bounds_lp_reports_ropt_d7(capsys):
+    rc, out, _ = run(capsys, "bounds", "--d", "7", "--lp")
+    assert rc == 0 and "ROPT = 6208/5" in out
+
+
 def test_bounds_deterministic(capsys):
     a = run(capsys, "bounds", "--d", "3", "--lp")
     b = run(capsys, "bounds", "--d", "3", "--lp")
@@ -178,7 +183,7 @@ def test_gap_report_tsv_d12(capsys):
 def test_usage_errors(capsys):
     assert run(capsys, "build", "--scheme", "nope", "--graph", "x", "--out", "y")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
-    assert run(capsys, "--threads", "0", "bounds", "--d", "1")[0] == 2
+    assert run(capsys, "bounds", "--d", "one")[0] == 2
 
 
 def test_missing_file_is_domain_error(capsys):

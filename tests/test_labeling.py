@@ -100,6 +100,20 @@ def test_verify_cover_rejects_wrong_distance():
         verify_cover(g, lab)
 
 
+def test_verify_cover_sampled_rejects_wrong_distance():
+    # the stored distance of hub 0 in L(1023) is 2, not 10: queries from 1023
+    # come out too short, though another common hub still sums to the true
+    # distance, so a check that any hub does would pass them
+    d = 10
+    g = hypercube(d)
+    labels = [list(label) for label in subset_hhl(d, graph=g).labels]
+    labels[1023][0] = (0, 2)
+    lab = Labeling(labels, fingerprint=g.fingerprint())
+    assert sum(query(lab, 1023, t) != popcount(1023 ^ t) for t in range(1 << d)) > 0
+    with pytest.raises(LabelingFormatError, match="vertex 1023"):
+        verify_cover(g, lab, sample=100_000, seed=0)
+
+
 def test_verify_cover_sampled():
     g = hypercube(6)
     lab = subset_hhl(6, graph=g)
@@ -196,6 +210,20 @@ def test_load_parse_error_reports_line():
     with pytest.raises(LabelingFormatError) as e:
         parse_labeling("HL 1\n0 3 0 0\n")
     assert "line 2" in str(e.value)
+
+
+def test_labeling_rejects_hub_out_of_range():
+    # hub 16 (distance 3 from vertex 3) in a Q2 labeling of 4 vertices
+    labels = [list(label) for label in subset_hhl(2).labels]
+    labels[3].append((16, 3))
+    with pytest.raises(LabelingFormatError, match="out of range"):
+        Labeling(labels)
+    text = serialize_labeling(subset_hhl(2)).replace("3 4 0 2 1 1 2 1 3 0", "3 5 0 2 1 1 2 1 3 0 16 3")
+    assert "16 3" in text
+    with pytest.raises(LabelingFormatError, match="out of range"):
+        parse_labeling(text)
+    with pytest.raises(LabelingFormatError):
+        Labeling([[(-1, 1), (0, 0)]])
 
 
 def test_labeling_rejects_duplicate_hubs_in_constructor():

@@ -7,8 +7,10 @@ from hublab.bounds import build_dual_lp, build_primal_lp, build_regular_lp
 from hublab.lp import (
     GEQ,
     LEQ,
+    LPCertificateError,
     LPSizeError,
     RationalLP,
+    certify,
     dump_lp,
     solve,
 )
@@ -42,6 +44,65 @@ def test_infeasible():
 def test_unbounded():
     lp = RationalLP("max", [F(1)], [])
     assert solve(lp).status == "unbounded"
+
+
+def test_unbounded_packing_solved_through_transpose():
+    # more rows than variables, so the dual is solved; it is infeasible
+    lp = RationalLP(
+        "max",
+        [F(1), F(1)],
+        [([F(1), F(0)], LEQ, F(1)), ([F(1), F(0)], LEQ, F(2)), ([F(2), F(0)], LEQ, F(3))],
+    )
+    assert solve(lp).status == "unbounded"
+
+
+@pytest.mark.parametrize("build", [lambda: build_regular_lp(3), lambda: build_dual_lp(2)])
+def test_transposed_packing_matches_direct_solve(build):
+    # both have more rows than variables, so `solve` goes through the
+    # transpose; the untransposed tableau must reach the same optimum
+    from hublab.lp import _simplex
+
+    lp = build()
+    assert lp.num_rows > lp.num_vars
+    sol = solve(lp)
+    status, x, y = _simplex(lp, 10**9)
+    assert status == "optimal"
+    assert sol.value == certify(lp, x, y)
+
+
+def test_duals_certify_optimum():
+    # max 3x + 2y st x + y <= 4, x + 3y <= 6: only the first row binds
+    lp = RationalLP(
+        "max",
+        [F(3), F(2)],
+        [([F(1), F(1)], LEQ, F(4)), ([F(1), F(3)], LEQ, F(6))],
+    )
+    sol = solve(lp)
+    assert sol.duals == [F(3), F(0)]
+    assert certify(lp, sol.values, sol.duals) == 12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_primal_lp(1),  # min with >= rows
+    lambda: build_dual_lp(2),  # packing, solved through its transpose
+    lambda: RationalLP("min", [F(1)], [([F(1)], GEQ, F(-5))], nonneg=[False]),
+    lambda: RationalLP("max", [F(1), F(1)], [([F(-1), F(1)], GEQ, F(-2)),
+                                             ([F(1), F(1)], LEQ, F(4))]),
+])
+def test_certificate_rejects_perturbed_dual(build):
+    lp = build()
+    sol = solve(lp)
+    assert certify(lp, sol.values, sol.duals) == sol.value
+    for i in range(lp.num_rows):
+        for delta in (F(1, 7), F(-1, 7)):
+            y = list(sol.duals)
+            y[i] += delta
+            with pytest.raises(LPCertificateError):
+                certify(lp, sol.values, y)
+    x = list(sol.values)
+    x[0] += 1
+    with pytest.raises(LPCertificateError):
+        certify(lp, x, sol.duals)
 
 
 def test_two_variable_exact():
