@@ -2,7 +2,7 @@
 
 Subcommands: gen, build, query, verify, bounds, oracle, gap-report.
 Exit codes: 0 success, 1 domain error (invalid labeling, no common hub,
-infeasible instance), 2 usage error.
+infeasible instance, greedy left pairs uncovered), 2 usage error.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .greedy import greedy_run
+from .greedy import GreedyError, greedy_run
 from .labeling import (
     FingerprintMismatch,
     LabelingFormatError,
@@ -287,6 +287,7 @@ def main(argv=None) -> int:
         GraphFormatError,
         LabelingFormatError,
         FingerprintMismatch,
+        GreedyError,
         LPCertificateError,
         ValueError,
         OSError,

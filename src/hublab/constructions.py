@@ -7,16 +7,10 @@ the remaining ceil(d/2) least significant bits.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Optional, Sequence
 
-from .graph import (
-    BudgetError,
-    Graph,
-    MAX_HYPERCUBE_DIM,
-    hypercube,
-    induced_subcube,
-    popcount,
-)
+from .graph import BudgetError, Graph, hypercube_fingerprint, popcount
 from .labeling import Labeling
 
 
@@ -57,35 +51,50 @@ class VertexOrder:
         return cls(seq)
 
 
-def _check_dim(d: int) -> None:
+#: Bytes of store per label entry: one 'i' hub plus one 'i' distance.
+ENTRY_BYTES = 8
+#: Largest label store a construction may allocate.
+MAX_STORE_BYTES = 1 << 29
+
+
+def fits_store_budget(entries: int) -> bool:
+    """Whether a labeling of `entries` entries fits in MAX_STORE_BYTES."""
+    return entries * ENTRY_BYTES <= MAX_STORE_BYTES
+
+
+def _check_budget(d: int, entries) -> None:
+    """Reject d < 0, and a labeling of Q_d whose `entries(d)` predicted
+    entries exceed the store budget, before anything is allocated."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    if d > MAX_HYPERCUBE_DIM:
-        raise BudgetError(f"dimension {d} exceeds budget {MAX_HYPERCUBE_DIM}")
+    # every vertex has a label entry, so 2^d entries at least
+    if d >= MAX_STORE_BYTES.bit_length() or not fits_store_budget(entries(d)):
+        raise BudgetError(
+            f"a labeling of Q_{d} needs more than {MAX_STORE_BYTES} bytes of label store"
+        )
 
 
-def _cube_fingerprint(d: int):
-    return hypercube(d).fingerprint()
+def _fingerprint(d: int, graph: Optional[Graph]):
+    return graph.fingerprint() if graph is not None else hypercube_fingerprint(d)
 
 
 def subset_hhl(d: int, graph: Optional[Graph] = None) -> Labeling:
     """L(v) = all ids that are bit-subsets of v; hierarchical, size 3^d."""
-    _check_dim(d)
+    _check_budget(d, lambda d: 3 ** d)
     n = 1 << d
-    labels = []
-    for v in range(n):
-        pv = popcount(v)
-        hubs = []
-        sub = v
-        while True:
-            hubs.append((sub, pv - popcount(sub)))
-            if sub == 0:
-                break
-            sub = (sub - 1) & v
-        hubs.sort()
-        labels.append(hubs)
-    fp = graph.fingerprint() if graph is not None else _cube_fingerprint(d)
-    return Labeling(labels, fingerprint=fp)
+    offsets, hubs, dists = array("q", [0, 1]), array("i", [0]), array("i", [0])
+    for v in range(1, n):
+        # with b the top bit of v and u = v - b, the ascending bit-subsets of
+        # v are those of u followed by each of them plus b, one step nearer
+        b = 1 << (v.bit_length() - 1)
+        lo, hi = offsets[v - b], offsets[v - b + 1]
+        sub_hubs, sub_dists = hubs[lo:hi], dists[lo:hi]
+        hubs.extend(sub_hubs)
+        hubs.extend(map(b.__or__, sub_hubs))
+        dists.extend(map((1).__add__, sub_dists))
+        dists.extend(sub_dists)
+        offsets.append(len(hubs))
+    return Labeling._from_arrays(offsets, hubs, dists, _fingerprint(d, graph))
 
 
 def canonical_labeling(
@@ -93,15 +102,14 @@ def canonical_labeling(
 ) -> Labeling:
     """w is a hub of v iff w is the most important vertex of the subcube
     spanned by v and w. Hierarchical and minimal for the given order."""
-    _check_dim(d)
+    _check_budget(d, lambda d: 3 ** d)
     n = 1 << d
     if order.n != n:
         raise ValueError(f"order covers {order.n} vertices, hypercube has {n}")
     rank = order._rank
-    labels = []
+    offsets, hubs, dists = array("q", [0]), array("i"), array("i")
     for v in range(n):
-        hubs = []
-        for w in range(n):
+        for w in range(n):  # ascending, so each label is written sorted
             free = v ^ w
             # argmax rank over members of the subcube spanned by v and w
             best = w
@@ -116,10 +124,10 @@ def canonical_labeling(
             if rank[v] > best_rank:
                 best = v
             if best == w:
-                hubs.append((w, popcount(free)))
-        labels.append(hubs)
-    fp = graph.fingerprint() if graph is not None else _cube_fingerprint(d)
-    return Labeling(labels, fingerprint=fp)
+                hubs.append(w)
+                dists.append(popcount(free))
+        offsets.append(len(hubs))
+    return Labeling._from_arrays(offsets, hubs, dists, _fingerprint(d, graph))
 
 
 def halfsplit_sizes(d: int) -> tuple[int, int]:
@@ -136,19 +144,27 @@ def halfsplit_hl(d: int, graph: Optional[Graph] = None) -> Labeling:
     Hubs are stored deduplicated (v belongs to both families); the
     two-family size formula remains an upper bound, see halfsplit_sizes.
     """
-    _check_dim(d)
+    _check_budget(d, lambda d: halfsplit_sizes(d)[0])
     n = 1 << d
     last_len = d - d // 2  # number of low (last) bits fixed by family B
-    low_mask = (1 << last_len) - 1
-    labels = []
+    size_a, size_b = 1 << last_len, 1 << (d - last_len)
+    # dist(v, w) = popcount(tail(v) ^ tail(w)) within family A, and
+    # popcount(head(v) ^ head(w)) within family B (heads shifted down)
+    dist_a = [array("i", [popcount(t ^ u) for u in range(size_a)]) for t in range(size_a)]
+    dist_b = [array("i", [popcount(h ^ u) for u in range(size_b)]) for h in range(size_b)]
+    offsets, hubs, dists = array("q", [0]), array("i"), array("i")
     for v in range(n):
-        head = v & ~low_mask
-        tail = v & low_mask
-        hubs = {head | t for t in range(1 << last_len)}
-        hubs.update((h << last_len) | tail for h in range(1 << (d - last_len)))
-        labels.append(sorted((w, popcount(v ^ w)) for w in hubs))
-    fp = graph.fingerprint() if graph is not None else _cube_fingerprint(d)
-    return Labeling(labels, fingerprint=fp)
+        h, t = divmod(v, size_a)
+        head = v - t
+        # ascending: family B below head, family A (holding v), family B above
+        hubs.extend(range(t, head, size_a))
+        hubs.extend(range(head, head + size_a))
+        hubs.extend(range(head + size_a + t, n, size_a))
+        dists.extend(dist_b[h][:h])
+        dists.extend(dist_a[t])
+        dists.extend(dist_b[h][h + 1:])
+        offsets.append(len(hubs))
+    return Labeling._from_arrays(offsets, hubs, dists, _fingerprint(d, graph))
 
 
 def halfsplit_common_hub(d: int, s: int, t: int) -> int:

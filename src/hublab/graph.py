@@ -79,18 +79,8 @@ class Graph:
     def fingerprint(self) -> tuple[int, int, str]:
         """(n, m, hash) triple binding labelings to this graph."""
         if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(f"{self.n} {self.m}".encode())
-            for u, v in self.edges:
-                h.update(f" {u},{v}".encode())
-            self._fingerprint = (self.n, self.m, h.hexdigest()[:16])
+            self._fingerprint = _fingerprint(self.n, self.m, self.edges)
         return self._fingerprint
-
-    def distance(self, u: int, v: int) -> float:
-        """Exact distance; arithmetic on hypercubes, BFS otherwise."""
-        if self.is_hypercube is not None:
-            return popcount(u ^ v)
-        return bfs_distances(self, u)[v]
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -98,20 +88,39 @@ class Graph:
         return all(x != INFINITY for x in bfs_distances(self, 0))
 
 
-def hypercube(d: int) -> Graph:
-    """d-dimensional hypercube: ids 0..2^d-1, edges between ids differing in one bit."""
+def _fingerprint(n: int, m: int, edges: Iterable[tuple[int, int]]) -> tuple[int, int, str]:
+    """(n, m, hash) of a graph from its m edges (u, v), u < v, in ascending order."""
+    h = hashlib.sha256(f"{n} {m}".encode())
+    h.update("".join(f" {u},{v}" for u, v in edges).encode())
+    return (n, m, h.hexdigest()[:16])
+
+
+def _hypercube_edges(d: int) -> Iterator[tuple[int, int]]:
+    """The edges (v, w), v < w, of Q_d in ascending order."""
+    bits = [1 << b for b in range(d)]
+    for v in range(1 << d):
+        for b in bits:
+            if not v & b:
+                yield v, v | b
+
+
+def _check_hypercube_dim(d: int) -> None:
     if d < 0:
         raise ValueError("dimension must be nonnegative")
     if d > MAX_HYPERCUBE_DIM:
         raise BudgetError(f"hypercube dimension {d} exceeds budget {MAX_HYPERCUBE_DIM}")
-    n = 1 << d
-    edges = []
-    for v in range(n):
-        for b in range(d):
-            w = v ^ (1 << b)
-            if w > v:
-                edges.append((v, w))
-    return Graph(n, edges, is_hypercube=d)
+
+
+def hypercube(d: int) -> Graph:
+    """d-dimensional hypercube: ids 0..2^d-1, edges between ids differing in one bit."""
+    _check_hypercube_dim(d)
+    return Graph(1 << d, _hypercube_edges(d), is_hypercube=d)
+
+
+def hypercube_fingerprint(d: int) -> tuple[int, int, str]:
+    """hypercube(d).fingerprint(), streamed from the edge list without building the graph."""
+    _check_hypercube_dim(d)
+    return _fingerprint(1 << d, d << d >> 1, _hypercube_edges(d))
 
 
 def bfs_distances(g: Graph, source: int) -> list:

@@ -22,7 +22,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .graph import Graph, bfs_distances
-from .labeling import Labeling
+from .labeling import Labeling, _from_hub_lists
+
+
+class GreedyError(RuntimeError):
+    """Pairs are left uncovered although every pair has a covering center."""
 
 
 @dataclass
@@ -70,10 +74,11 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
             uncovered.add(pid(i, j))
     # per-center ids of coverable pairs, pruned as pairs get covered; held as
     # machine integers, since there can be up to about n^3 / 2 of them
+    typecode = "i" if n * n < 1 << 31 else "q"
     coverable = []
     for v in range(n):
         dv = dist[v]
-        ids = array("q")
+        ids = array(typecode)
         for i in range(n):
             dvi = dv[i]
             di = dist[i]
@@ -88,28 +93,27 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
 
     def evaluate(v):
         """Best (density, group, covered pair ids) for center v via peeling."""
-        ids = array("q", [p for p in coverable[v] if p in uncovered])
+        ids = array(typecode, [p for p in coverable[v] if p in uncovered])
         coverable[v] = ids
         if not ids:
             return None
-        pairs = [divmod(p, n) for p in ids]
-        inc: dict = {}
-        for i, j in pairs:
-            inc.setdefault(i, []).append((i, j))
+        inc: dict = {}  # vertex -> ids of its incident pairs
+        for p in ids:
+            i, j = divmod(p, n)
+            inc.setdefault(i, []).append(p)
             if j != i:
-                inc.setdefault(j, []).append((i, j))
-        verts = sorted(inc)
-        deg = {u: len(inc[u]) for u in verts}
-        alive = set(verts)
-        edge_alive = {p: True for p in pairs}
-        m_alive = len(pairs)
-        order = []  # peeling order with prefix edge counts
-        snapshots = []  # (density, num_alive) before each removal
+                inc.setdefault(j, []).append(p)
+        deg = {u: len(ps) for u, ps in inc.items()}
+        heap = sorted((du, u) for u, du in deg.items())
+        alive = set(deg)
+        dead = set()  # ids of pairs with a removed endpoint
+        m = len(ids)
+        # Densest prefix of the peeling, as (pairs, vertices, removals before
+        # it). Each removal leaves one vertex fewer, so (-density, size)
+        # orders the prefixes strictly: on equal density the later one wins.
+        best_m, best_k, cut = m, len(alive), 0
         removal_seq = []
-        heap = [(deg[u], u) for u in verts]
-        heapq.heapify(heap)
-        while alive:
-            snapshots.append((Fraction(m_alive, len(alive)), frozenset(alive)))
+        while True:
             while True:
                 du, u = heapq.heappop(heap)
                 if u in alive and deg[u] == du:
@@ -117,26 +121,24 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
             alive.discard(u)
             removal_seq.append(u)
             for p in inc[u]:
-                if edge_alive.get(p):
-                    edge_alive[p] = False
-                    m_alive -= 1
-                    a, b = p
-                    w = b if a == u else a
-                    if w != u and w in alive:
+                if p not in dead:
+                    dead.add(p)
+                    m -= 1
+                    i, j = divmod(p, n)
+                    w = j if i == u else i
+                    if w != u:
                         deg[w] -= 1
                         heapq.heappush(heap, (deg[w], w))
-        # densest intermediate subgraph; ties -> fewer vertices, then
-        # lexicographically smallest vertex tuple
-        best = None
-        for dens, members in snapshots:
-            key = (-dens, len(members), tuple(sorted(members)))
-            if best is None or key < best[0]:
-                best = (key, dens, members)
-        _, dens, members = best
-        covered = array("q", (
-            pid(i, j) for i, j in pairs if i in members and j in members
-        ))
-        return dens, tuple(sorted(members)), covered
+            if not alive:
+                break
+            if m * best_k >= best_m * len(alive):
+                best_m, best_k, cut = m, len(alive), len(removal_seq)
+        removed = set(removal_seq[:cut])
+        members = tuple(sorted(u for u in deg if u not in removed))
+        covered = array(typecode, [
+            p for p in ids if p // n not in removed and p % n not in removed
+        ])
+        return Fraction(best_m, best_k), members, covered
 
     # lazy-greedy selection: cached densities are upper bounds
     heap = []
@@ -159,7 +161,9 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
             if res is not None:
                 heapq.heappush(heap, (-res[0], v, res))
         if entry is None:
-            raise AssertionError("uncovered pairs remain but no center can cover them")
+            raise GreedyError(
+                f"{len(uncovered)} pairs remain uncovered, but no center covers any"
+            )
         v, (dens, group, covered) = entry
         newly = 0
         for key in covered:
@@ -192,8 +196,5 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
                 f"density {dens} covered {newly} uncovered {len(uncovered)} size {size}",
                 file=log,
             )
-    final = Labeling(
-        [sorted((h, dist[u][h]) for h in labels[u]) for u in range(n)],
-        fingerprint=g.fingerprint(),
-    )
+    final = _from_hub_lists([sorted(hs) for hs in labels], dist, g.fingerprint())
     return GreedyRun(labeling=final, steps=steps)

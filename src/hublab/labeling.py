@@ -6,12 +6,21 @@ path between them; that is what `verify_cover` certifies against a BFS
 oracle. Self-hubs (v in L(v)) are not required by the model; constructors
 that naturally produce them keep them, and query(s, s) returns 0 exactly
 when s is its own hub (otherwise twice the distance to the nearest hub).
+
+The labels of all vertices live in one flat store (CSR): L(v) is
+hubs[offsets[v]:offsets[v + 1]] with the matching stored distances in
+dists. Every layer reads and writes these arrays directly.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import add, ge, ne
+from typing import Optional
 
 from .graph import Graph, bfs_distances, popcount
 
@@ -30,59 +39,121 @@ class FingerprintMismatch(ValueError):
 
 
 class Labeling:
-    """Immutable per-vertex hub lists with stored distances.
+    """Immutable hub labels with stored distances, in one CSR store.
 
-    labels[v] is a tuple of (hub, dist) sorted ascending by hub id, hubs
-    distinct and in [0, n). `fingerprint` is the (n, m, hash) triple of the
-    graph the labeling was built for.
+    offsets ('q', n + 1 entries) delimits each vertex's range of hubs and
+    dists (both 'i'); within a range the hubs ascend, are distinct and lie
+    in [0, n), and the distances are nonnegative. `fingerprint` is the
+    (n, m, hash) triple of the graph the labeling was built for.
+
+    `Labeling(labels)` builds the store from per-vertex (hub, dist) pair
+    sequences, sorting each label, and validates it. Builders that produce
+    valid arrays by construction use `Labeling._from_arrays`.
     """
 
-    __slots__ = ("labels", "fingerprint", "_hub_maps", "_hub_sets")
+    __slots__ = ("n", "offsets", "hubs", "dists", "fingerprint")
 
     def __init__(
         self,
         labels: Sequence[Sequence[tuple[int, int]]],
         fingerprint: Optional[tuple[int, int, str]] = None,
     ):
-        canon = []
-        n = len(labels)
-        for v, lab in enumerate(labels):
-            lab = tuple((int(h), int(dd)) for h, dd in lab)
-            hubs = [h for h, _ in lab]
-            if any(hubs[i] >= hubs[i + 1] for i in range(len(hubs) - 1)):
-                lab = tuple(sorted(lab))
-                hubs = [h for h, _ in lab]
-            if len(set(hubs)) != len(hubs):
-                raise LabelingFormatError(f"duplicate hub in label of vertex {v}")
-            if hubs and (hubs[0] < 0 or hubs[-1] >= n):
-                raise LabelingFormatError(f"hub out of range [0, {n}) in label of vertex {v}")
-            if any(dd < 0 for _, dd in lab):
-                raise LabelingFormatError(f"negative distance in label of vertex {v}")
-            canon.append(lab)
-        self.labels = tuple(canon)
+        offsets, hubs, dists = array("q", [0]), array("i"), array("i")
+        try:
+            for lab in labels:
+                pairs = sorted((int(h), int(dd)) for h, dd in lab)
+                hubs.extend([h for h, _ in pairs])
+                dists.extend([dd for _, dd in pairs])
+                offsets.append(len(hubs))
+        except OverflowError:
+            raise LabelingFormatError(
+                f"hub or distance outside 32 bits in label of vertex {len(offsets) - 1}"
+            ) from None
+        self._set(offsets, hubs, dists, fingerprint)
+        _validate(self)
+
+    @classmethod
+    def _from_arrays(cls, offsets: array, hubs: array, dists: array, fingerprint=None):
+        """Wrap CSR arrays without checking them (callers validate outside input)."""
+        lab = cls.__new__(cls)
+        lab._set(offsets, hubs, dists, fingerprint)
+        return lab
+
+    def _set(self, offsets, hubs, dists, fingerprint) -> None:
+        self.n = len(offsets) - 1
+        self.offsets = offsets
+        self.hubs = hubs
+        self.dists = dists
         self.fingerprint = fingerprint
-        self._hub_maps = None
-        self._hub_sets = None
 
     @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def hub_maps(self) -> tuple[dict, ...]:
-        if self._hub_maps is None:
-            self._hub_maps = tuple(dict(lab) for lab in self.labels)
-        return self._hub_maps
-
-    def hub_sets(self) -> tuple[frozenset, ...]:
-        if self._hub_sets is None:
-            self._hub_sets = tuple(frozenset(h for h, _ in lab) for lab in self.labels)
-        return self._hub_sets
+    def labels(self) -> "LabelView":
+        """Read-only view: labels[v] is the tuple of (hub, dist) pairs of L(v)."""
+        return LabelView(self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Labeling) and self.labels == other.labels
+        return (
+            isinstance(other, Labeling)
+            and self.offsets == other.offsets
+            and self.hubs == other.hubs
+            and self.dists == other.dists
+        )
 
     def __hash__(self):
-        return hash(self.labels)
+        return hash((self.offsets.tobytes(), self.hubs.tobytes(), self.dists.tobytes()))
+
+
+def _from_hub_lists(hub_lists, dist, fingerprint=None) -> Labeling:
+    """Labeling with L(v) = hub_lists[v], ascending, at distances dist[v][hub]."""
+    offsets, hubs, dists = array("q", [0]), array("i"), array("i")
+    for v, hs in enumerate(hub_lists):
+        hubs.extend(hs)
+        dists.extend([dist[v][h] for h in hs])
+        offsets.append(len(hubs))
+    return Labeling._from_arrays(offsets, hubs, dists, fingerprint)
+
+
+class LabelView(Sequence):
+    """The labels of a Labeling as a sequence of (hub, dist) pair tuples."""
+
+    __slots__ = ("_lab",)
+
+    def __init__(self, lab: Labeling):
+        self._lab = lab
+
+    def __len__(self) -> int:
+        return self._lab.n
+
+    def __getitem__(self, v: int) -> tuple:
+        lab = self._lab
+        if v < 0:
+            v += lab.n
+        if not 0 <= v < lab.n:
+            raise IndexError(f"vertex {v} out of range")
+        a, b = lab.offsets[v], lab.offsets[v + 1]
+        return tuple(zip(lab.hubs[a:b], lab.dists[a:b]))
+
+
+def _validate(lab: Labeling) -> None:
+    """Raise LabelingFormatError unless each label's hubs ascend strictly
+    within [0, n) and every stored distance is nonnegative."""
+    off, hubs, dists = lab.offsets, lab.hubs, lab.dists
+
+    def fail(i: int, what: str):
+        v = bisect_right(off, i) - 1
+        raise LabelingFormatError(f"{what} in label of vertex {v}")
+
+    if hubs:
+        lo, hi = min(hubs), max(hubs)
+        if lo < 0 or hi >= lab.n:
+            fail(hubs.index(lo if lo < 0 else hi), f"hub out of range [0, {lab.n})")
+    if dists and min(dists) < 0:
+        fail(dists.index(min(dists)), "negative distance")
+    # i where hubs[i - 1] >= hubs[i]; allowed only where a new label starts
+    starts = set(off)
+    for i in compress(count(1), map(ge, hubs, islice(hubs, 1, None))):
+        if i not in starts:
+            fail(i, "hubs must be distinct and ascending")
 
 
 @dataclass
@@ -101,33 +172,47 @@ class HierarchyReport:
 
 def total_size(lab: Labeling) -> int:
     """Sum of label sizes over all vertices."""
-    return sum(len(l) for l in lab.labels)
+    return len(lab.hubs)
 
 
 def query(lab: Labeling, s: int, t: int):
-    """Distance via a linear merge over the two sorted hub lists.
+    """Distance via a linear merge over the two sorted hub ranges.
 
     Returns min over common hubs u of dist(s,u) + dist(u,t), or
     NO_COMMON_HUB when the labels do not intersect.
     """
-    if not (0 <= s < lab.n and 0 <= t < lab.n):
+    n = lab.n
+    if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"query vertices ({s},{t}) out of range")
-    a, b = lab.labels[s], lab.labels[t]
-    i = j = 0
+    off = lab.offsets
+    i, i_end = off[s], off[s + 1]
+    j, j_end = off[t], off[t + 1]
     best = NO_COMMON_HUB
-    while i < len(a) and j < len(b):
-        ha, hb = a[i][0], b[j][0]
+    if i == i_end or j == j_end:
+        return best
+    hubs, dists = lab.hubs, lab.dists
+    ha, hb = hubs[i], hubs[j]
+    # each hub is loaded once, when its pointer advances
+    while True:
         if ha == hb:
-            cand = a[i][1] + b[j][1]
+            cand = dists[i] + dists[j]
             if best is NO_COMMON_HUB or cand < best:
                 best = cand
             i += 1
             j += 1
+            if i == i_end or j == j_end:
+                return best
+            ha, hb = hubs[i], hubs[j]
         elif ha < hb:
             i += 1
+            if i == i_end:
+                return best
+            ha = hubs[i]
         else:
             j += 1
-    return best
+            if j == j_end:
+                return best
+            hb = hubs[j]
 
 
 class _DistanceOracle:
@@ -150,26 +235,19 @@ class _DistanceOracle:
         return row[v]
 
 
-def _pair_covered(lab: Labeling, oracle: _DistanceOracle, s: int, t: int) -> bool:
-    """The query answer, the minimum over common hubs, is the true distance."""
-    hs = lab.hub_sets()
-    common = hs[s] & hs[t]
-    if not common:
-        return False
-    ms, mt = lab.hub_maps()[s], lab.hub_maps()[t]
-    return min(ms[u] + mt[u] for u in common) == oracle.dist(s, t)
-
-
-def _check_stored(lab: Labeling, oracle: _DistanceOracle, s: int) -> None:
-    """Raise LabelingFormatError unless every stored distance in L(s) is true."""
+def _checked_map(lab: Labeling, oracle: _DistanceOracle, s: int) -> dict:
+    """L(s) as {hub: dist}; LabelingFormatError unless every stored distance is true."""
+    a, b = lab.offsets[s], lab.offsets[s + 1]
+    hubs, dists = lab.hubs[a:b], lab.dists[a:b]
     if oracle.g.is_hypercube is not None:
         # Hamming distance inline: this runs once per entry of every label checked
-        wrong = [(h, dd) for h, dd in lab.labels[s] if (s ^ h).bit_count() != dd]
+        true = map(int.bit_count, map(s.__xor__, hubs))
     else:
-        wrong = [(h, dd) for h, dd in lab.labels[s] if oracle.dist(s, h) != dd]
-    if wrong:
-        h, dd = wrong[0]
+        true = (oracle.dist(s, h) for h in hubs)
+    if any(map(ne, true, dists)):
+        h, dd = next((h, dd) for h, dd in zip(hubs, dists) if oracle.dist(s, h) != dd)
         raise LabelingFormatError(f"stored distance {dd} for hub {h} of vertex {s} is wrong")
+    return dict(zip(hubs, dists))
 
 
 def verify_cover(
@@ -195,42 +273,42 @@ def verify_cover(
     if lab.n != g.n:
         raise FingerprintMismatch(f"labeling has {lab.n} vertices, graph has {g.n}")
     oracle = _DistanceOracle(g)
+    n = g.n
+    if sample is None:
+        # t ascends from s = 0, so every label is checked before a second row
+        pairs = ((s, t) for s in range(n) for t in range(s, n))
+    else:
+        rng = random.Random(seed)
+
+        def sampled():
+            for _ in range(sample):
+                s = rng.randrange(n)
+                t = rng.randrange(n)
+                yield (s, t) if s <= t else (t, s)
+
+        pairs = sampled()
+    maps: dict = {}  # vertex -> checked {hub: dist}, built on first touch
     violations = []
     truncated = False
     checked = 0
-    if sample is None:
-        for s in range(g.n):
-            _check_stored(lab, oracle, s)
-        for s in range(g.n):
-            for t in range(s, g.n):
-                checked += 1
-                if not _pair_covered(lab, oracle, s, t):
-                    if len(violations) < MAX_REPORTED_VIOLATIONS:
-                        violations.append((s, t))
-                    else:
-                        truncated = True
-    else:
-        rng = random.Random(seed)
-        n = g.n
-        stored_ok = bytearray(n)
-        for _ in range(sample):
-            s = rng.randrange(n)
-            t = rng.randrange(n)
-            if s > t:
-                s, t = t, s
-            if not stored_ok[s]:
-                _check_stored(lab, oracle, s)
-                stored_ok[s] = 1
-            if not stored_ok[t]:
-                _check_stored(lab, oracle, t)
-                stored_ok[t] = 1
-            checked += 1
-            if not _pair_covered(lab, oracle, s, t):
-                if len(violations) < MAX_REPORTED_VIOLATIONS:
-                    violations.append((s, t))
-                else:
-                    truncated = True
-        violations.sort()
+    for s, t in pairs:
+        ms = maps.get(s)
+        if ms is None:
+            ms = maps[s] = _checked_map(lab, oracle, s)
+        mt = maps.get(t)
+        if mt is None:
+            mt = maps[t] = _checked_map(lab, oracle, t)
+        checked += 1
+        common = ms.keys() & mt.keys()
+        if common and min(
+            map(add, map(ms.__getitem__, common), map(mt.__getitem__, common))
+        ) == oracle.dist(s, t):
+            continue
+        if len(violations) < MAX_REPORTED_VIOLATIONS:
+            violations.append((s, t))
+        else:
+            truncated = True
+    violations.sort()
     return CoverReport(
         valid=not violations,
         violations=violations,
@@ -247,14 +325,18 @@ def is_hierarchical(lab: Labeling) -> HierarchyReport:
     next in its label).
     """
     n = lab.n
-    succ = lab.hub_sets()
+    off, hubs = lab.offsets, lab.hubs
+
+    def succ(v: int):
+        return iter(hubs[off[v]:off[v + 1]])  # ascending hub ids
+
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * n
     parent: dict = {}
     for root in range(n):
         if color[root] != WHITE:
             continue
-        stack = [(root, iter(sorted(succ[root])))]
+        stack = [(root, succ(root))]
         color[root] = GRAY
         while stack:
             v, it = stack[-1]
@@ -275,7 +357,7 @@ def is_hierarchical(lab: Labeling) -> HierarchyReport:
                 if color[w] == WHITE:
                     color[w] = GRAY
                     parent[w] = v
-                    stack.append((w, iter(sorted(succ[w]))))
+                    stack.append((w, succ(w)))
                     advanced = True
                     break
             if not advanced:
@@ -288,8 +370,8 @@ def brute_force_hierarchical(lab: Labeling) -> bool:
     """O(n^3) transitive-closure cycle test; independent check for small n."""
     n = lab.n
     reach = [[False] * n for _ in range(n)]
-    for v in range(n):
-        for h, _ in lab.labels[v]:
+    for v, label in enumerate(lab.labels):
+        for h, _ in label:
             if h != v:
                 reach[v][h] = True
     for k in range(n):
@@ -310,12 +392,18 @@ def serialize_labeling(lab: Labeling) -> str:
     if lab.fingerprint is not None:
         n, m, h = lab.fingerprint
         lines.append(f"# graph {n} {m} {h}")
-    for v, l in enumerate(lab.labels):
-        parts = [str(v), str(len(l))]
-        for hub, dd in l:
-            parts.append(str(hub))
-            parts.append(str(dd))
-        lines.append(" ".join(parts))
+    off = lab.offsets
+    # hub, dist, hub, dist, ... of all labels in one array
+    flat = array("i", bytes(8 * len(lab.hubs)))
+    flat[0::2] = lab.hubs
+    flat[1::2] = lab.dists
+    text = {x: str(x) for x in set(flat)}.__getitem__  # each distinct value once
+    for v in range(lab.n):
+        a, b = off[v], off[v + 1]
+        if a == b:
+            lines.append(f"{v} 0")
+        else:
+            lines.append(f"{v} {b - a} " + " ".join(map(text, flat[2 * a:2 * b])))
     return "\n".join(lines) + "\n"
 
 
@@ -324,52 +412,75 @@ def save_labeling(lab: Labeling, path: str) -> None:
         f.write(serialize_labeling(lab))
 
 
+def _header_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise LabelingFormatError(f"line {lineno}: malformed integer {token!r}") from None
+
+
 def parse_labeling(text: str) -> Labeling:
-    lines = text.splitlines()
     fingerprint = None
     n = None
-    rows: dict = {}
-    for lineno, raw in enumerate(lines, start=1):
+    hubs, dists = array("i"), array("i")
+    ends = array("q")  # end of each label line's range, in file order
+    line_of: dict = {}  # vertex -> index of its label line in file order
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 4 and parts[0] == "graph":
-                fingerprint = (int(parts[1]), int(parts[2]), parts[3])
+                fingerprint = (
+                    _header_int(parts[1], lineno), _header_int(parts[2], lineno), parts[3]
+                )
             continue
         parts = line.split()
         if n is None:
             if len(parts) != 2 or parts[0] != "HL":
                 raise LabelingFormatError(f"line {lineno}: expected 'HL n' header")
-            n = int(parts[1])
+            n = _header_int(parts[1], lineno)
             continue
         try:
-            v = int(parts[0])
-            k = int(parts[1])
-            rest = [int(x) for x in parts[2:]]
+            vals = list(map(int, parts))
+            v, k = vals[0], vals[1]
         except (IndexError, ValueError):
             raise LabelingFormatError(f"line {lineno}: malformed label line") from None
-        if len(rest) != 2 * k:
+        if len(vals) != 2 * k + 2:
             raise LabelingFormatError(
-                f"line {lineno}: declared {k} hubs, found {len(rest) // 2}"
+                f"line {lineno}: declared {k} hubs, found {(len(vals) - 2) // 2}"
             )
         if not (0 <= v < n):
             raise LabelingFormatError(f"line {lineno}: vertex {v} out of range")
-        if v in rows:
+        if v in line_of:
             raise LabelingFormatError(f"line {lineno}: duplicate vertex {v}")
-        pairs = [(rest[2 * i], rest[2 * i + 1]) for i in range(k)]
-        hubs = [h for h, _ in pairs]
-        if sorted(set(hubs)) != hubs:
-            raise LabelingFormatError(
-                f"line {lineno}: hubs must be distinct and ascending"
-            )
-        rows[v] = tuple(pairs)
+        try:
+            hubs.extend(vals[2::2])
+            dists.extend(vals[3::2])
+        except OverflowError:
+            raise LabelingFormatError(f"line {lineno}: hub or distance outside 32 bits") from None
+        line_of[v] = len(ends)
+        ends.append(len(hubs))
     if n is None:
         raise LabelingFormatError("missing 'HL n' header")
-    if len(rows) != n:
-        raise LabelingFormatError(f"expected {n} label lines, found {len(rows)}")
-    return Labeling([rows[v] for v in range(n)], fingerprint=fingerprint)
+    if len(line_of) != n:
+        raise LabelingFormatError(f"expected {n} label lines, found {len(line_of)}")
+    offsets = array("q", [0])
+    if all(map(int.__eq__, line_of, range(n))):
+        offsets.extend(ends)
+    else:  # vertex lines out of order: copy the ranges into vertex order
+        file_hubs, file_dists = hubs, dists
+        hubs, dists = array("i"), array("i")
+        for v in range(n):
+            i = line_of[v]
+            a, b = ends[i - 1] if i else 0, ends[i]
+            hubs.extend(file_hubs[a:b])
+            dists.extend(file_dists[a:b])
+            offsets.append(len(hubs))
+    lab = Labeling._from_arrays(offsets, hubs, dists, fingerprint)
+    _validate(lab)
+    return lab
 
 
 def load_labeling(path: str) -> Labeling:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .constructions import VertexOrder, canonical_labeling
 from .graph import Graph, bfs_distances, hypercube
-from .labeling import Labeling, total_size
+from .labeling import Labeling, _from_hub_lists, total_size
 
 MAX_BRUTE_HL_N = 6
 MAX_BRUTE_HHL_D = 3
@@ -109,11 +109,8 @@ def brute_optimal_hl(g: Graph, self_pairs: bool = True) -> OracleResult:
                 chosen.discard(a)
 
     search(0, 0)
-    labels = [[] for _ in range(n)]
-    for h, v in sorted(incumbent):
-        labels[v].append((h, dist[v][h]))
-    witness = Labeling(
-        [sorted(l) for l in labels], fingerprint=g.fingerprint()
+    witness = _from_hub_lists(
+        [sorted(h for h, w in incumbent if w == v) for v in range(n)], dist, g.fingerprint()
     )
     return OracleResult(
         size=incumbent_size,

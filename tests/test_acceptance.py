@@ -70,7 +70,7 @@ def test_criterion_03_halfsplit_separation():
     cyc = h.witness
     ok &= cyc is not None and len(cyc) >= 2
     if ok:
-        hubs = lab.hub_sets()
+        hubs = [{h for h, _ in label} for label in lab.labels]
         closed = cyc if cyc[0] == cyc[-1] else cyc + [cyc[0]]
         for a, b in zip(closed, closed[1:]):
             ok &= b in hubs[a] and a != b

@@ -114,6 +114,27 @@ def test_greedy_scheme_and_max_n(capsys, tmp_path):
     assert rc == 1
 
 
+def test_greedy_stuck_is_domain_error(capsys, tmp_path, monkeypatch):
+    # a BFS that puts every vertex at distance 1 from itself leaves the
+    # self-pairs without a covering center, which greedy must report
+    import hublab.greedy as greedy
+    from hublab.graph import bfs_distances
+
+    def self_at_one(g, s):
+        row = bfs_distances(g, s)
+        row[s] = 1
+        return row
+
+    monkeypatch.setattr(greedy, "bfs_distances", self_at_one)
+    gpath = str(tmp_path / "h2.g")
+    run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)
+    rc, _, err = run(
+        capsys, "build", "--scheme", "greedy", "--graph", gpath,
+        "--out", str(tmp_path / "g.hl"),
+    )
+    assert rc == 1 and "uncovered" in err
+
+
 def test_scheme_requires_hypercube(capsys, tmp_path):
     gpath = tmp_path / "p3.g"
     gpath.write_text("3 2\n0 1\n1 2\n")

@@ -5,12 +5,13 @@ import pytest
 from hublab.constructions import (
     VertexOrder,
     canonical_labeling,
+    fits_store_budget,
     halfsplit_common_hub,
     halfsplit_hl,
     halfsplit_sizes,
     subset_hhl,
 )
-from hublab.graph import hypercube, popcount
+from hublab.graph import BudgetError, hypercube, popcount
 from hublab.labeling import (
     Labeling,
     is_hierarchical,
@@ -86,7 +87,7 @@ def test_canonical_minimality(d):
     g = hypercube(d)
     for seed in range(20):
         lab = canonical_labeling(d, VertexOrder.random(d, seed), graph=g)
-        hub_maps = lab.hub_maps()
+        hub_maps = [dict(label) for label in lab.labels]
         for v, l in enumerate(lab.labels):
             for w, _ in l:
                 if w == v:
@@ -151,7 +152,7 @@ def test_halfsplit_non_hierarchical_with_2cycle(d):
     lab = halfsplit_hl(d)
     rep = is_hierarchical(lab)
     assert not rep.hierarchical
-    hubsets = lab.hub_sets()
+    hubsets = [{h for h, _ in label} for label in lab.labels]
     # a 2-cycle exists: any two vertices sharing a half contain each other
     a, b = 0, 1  # differ only in the last bit
     assert b in hubsets[a] and a in hubsets[b]
@@ -161,7 +162,7 @@ def test_halfsplit_non_hierarchical_with_2cycle(d):
 def test_halfsplit_common_hub_witness(d):
     rng = random.Random(d)
     lab = halfsplit_hl(d)
-    hubsets = lab.hub_sets()
+    hubsets = [{h for h, _ in label} for label in lab.labels]
     n = 1 << d
     for _ in range(100):
         s, t = rng.randrange(n), rng.randrange(n)
@@ -176,3 +177,20 @@ def test_size_separation_from_d12():
         assert dedup < 3 ** d
     assert halfsplit_sizes(12) == (520192, 524288)
     assert 520192 < 3 ** 12 == 531441
+
+
+def test_store_budget_by_predicted_entries():
+    # subset_hhl(20) would hold 3^20, about 3.5e9, entries: rejected before
+    # anything is allocated; d=16 (3^16 entries, 344 MB) is admitted
+    for build in (subset_hhl, halfsplit_hl):
+        with pytest.raises(BudgetError):
+            build(20)
+    with pytest.raises(BudgetError):
+        canonical_labeling(20, VertexOrder([0]))
+    with pytest.raises(BudgetError):
+        subset_hhl(10 ** 9)
+    assert not fits_store_budget(3 ** 20)
+    assert fits_store_budget(3 ** 16)
+    assert fits_store_budget(halfsplit_sizes(16)[0])
+    with pytest.raises(ValueError):
+        subset_hhl(-1)

@@ -10,6 +10,7 @@ from hublab.graph import (
     GraphFormatError,
     bfs_distances,
     hypercube,
+    hypercube_fingerprint,
     induced_subcube,
     parse_graph,
     popcount,
@@ -167,3 +168,8 @@ def test_fingerprint_distinguishes_graphs():
     a = Graph(3, [(0, 1), (1, 2)])
     b = Graph(3, [(0, 1), (0, 2)])
     assert a.fingerprint() != b.fingerprint()
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_hypercube_fingerprint_streamed(d):
+    assert hypercube_fingerprint(d) == hypercube(d).fingerprint()

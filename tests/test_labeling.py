@@ -152,7 +152,7 @@ def test_hierarchy_halfsplit_false_with_witness():
         cyc = rep.witness
         assert cyc[0] == cyc[-1] and len(cyc) >= 3
         lab = halfsplit_hl(d)
-        hubsets = lab.hub_sets()
+        hubsets = [{h for h, _ in label} for label in lab.labels]
         for a, b in zip(cyc, cyc[1:]):
             assert b in hubsets[a]
 
@@ -237,3 +237,38 @@ def test_query_correctness_random_pairs_d13():
     for _ in range(10_000):
         s, t = rng.randrange(1 << 13), rng.randrange(1 << 13)
         assert query(lab, s, t) == popcount(s ^ t)
+
+
+def test_labels_view_is_read_only_sequence():
+    lab = subset_hhl(2)
+    view = lab.labels
+    assert len(view) == 4
+    assert list(view) == [((0, 0),), ((0, 1), (1, 0)), ((0, 1), (2, 0)),
+                          ((0, 2), (1, 1), (2, 1), (3, 0))]
+    assert view[-1] == view[3]
+    with pytest.raises(IndexError):
+        view[4]
+    with pytest.raises(TypeError):
+        view[0] = ()
+    with pytest.raises(AttributeError):
+        lab.labels = []
+
+
+def test_labeling_sorts_each_label_and_rejects_values_beyond_32_bits():
+    lab = Labeling([[(1, 1), (0, 0)], [(1, 0), (0, 1)]])
+    assert lab.labels[0] == ((0, 0), (1, 1))
+    with pytest.raises(LabelingFormatError):
+        Labeling([[(0, 1 << 31)]])
+    with pytest.raises(LabelingFormatError):
+        Labeling([[(1 << 31, 0)]])
+    with pytest.raises(LabelingFormatError, match="negative distance"):
+        Labeling([[(0, -1)]])
+
+
+def test_load_vertex_lines_in_any_order():
+    lab = halfsplit_hl(3, graph=hypercube(3))
+    header, *lines = serialize_labeling(lab).splitlines()
+    fp, *lines = lines
+    text = "\n".join([header, fp, *reversed(lines)]) + "\n"
+    again = parse_labeling(text)
+    assert again == lab and again.fingerprint == lab.fingerprint
