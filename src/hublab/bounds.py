@@ -21,7 +21,9 @@ from .graph import Graph, bfs_distances, popcount
 from .lp import GEQ, LEQ, LPSolution, RationalLP, solve
 
 MAX_REGULAR_D = 4
-MAX_ROPT_D = 7
+#: Most pair edges the ROPT separation may cut through; admits d <= 10
+#: (29525 pair edges, about 0.7 s), not d = 11 (88574).
+MAX_ROPT_PAIR_EDGES = 1 << 15
 MAX_DUAL_D = 3
 MAX_PRIMAL_D = 2
 MAX_PRIMAL_D_FORCED = 3
@@ -421,6 +423,19 @@ def most_violated_subset(d: int, y: dict) -> tuple[Fraction, int]:
     return Fraction(gain, scale), S
 
 
+def ropt_pair_edges(d: int) -> int:
+    """Pair edges through the all-zeros vertex over every distance, the
+    self-pair included: the (3^d - 1) / 2 unordered pairs of distinct
+    disjoint subsets of the d coordinates, plus (0, 0). Each min cut of
+    `regular_lp_optimum` runs on a network of these and the 2^d vertices."""
+    return (3 ** d + 1) // 2
+
+
+def ropt_fits_budget(d: int) -> bool:
+    """Whether `regular_lp_optimum(d)` is within MAX_ROPT_PAIR_EDGES."""
+    return 0 <= d < MAX_ROPT_PAIR_EDGES.bit_length() and ropt_pair_edges(d) <= MAX_ROPT_PAIR_EDGES
+
+
 def regular_lp_optimum(d: int, self_pairs: bool = True) -> LPSolution:
     """ROPT, the optimum of the regular LP (`build_regular_lp`), by row
     generation.
@@ -432,8 +447,10 @@ def regular_lp_optimum(d: int, self_pairs: bool = True) -> LPSolution:
     with zeros, certifies it optimal for the full one. Returns the final
     restricted solution.
     """
-    if not 0 <= d <= MAX_ROPT_D:
-        raise ValueError(f"ROPT row generation capped at d <= {MAX_ROPT_D}")
+    if not ropt_fits_budget(d):
+        raise ValueError(
+            f"ROPT at d={d} needs more than {MAX_ROPT_PAIR_EDGES} pair edges in its separation"
+        )
     ks = list(range(0 if self_pairs else 1, d + 1))
     pairs = [(i, j, idx) for idx, k in enumerate(ks) for i, j in disjoint_pair_edges(d, k)]
 
@@ -601,7 +618,7 @@ def bound_report(
     ropt = lopt = opt = None
     sandwiches = []
     if with_lp:
-        if d <= MAX_ROPT_D:
+        if ropt_fits_budget(d):
             ropt = regular_lp_optimum(d, self_pairs=self_pairs).value
             # single-class points give the lower end; y_k <= y*_k the upper
             lo = max((psi(d, k) for k in range(0 if self_pairs else 1, d + 1)), default=Fraction(0))

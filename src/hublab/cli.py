@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True)
     b.add_argument("--order", default="reverse-id",
                    help="canonical scheme: <file>|random:<seed>|reverse-id")
-    b.add_argument("--max-n", type=int, default=1024)
+    b.add_argument("--max-n", type=int, default=256,
+                   help="greedy scheme: most vertices greedy may run on")
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("query", help="distance query from labels")

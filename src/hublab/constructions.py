@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from operator import xor
 from typing import Optional, Sequence
 
 from .graph import BudgetError, Graph, hypercube_fingerprint, popcount
@@ -57,18 +58,27 @@ ENTRY_BYTES = 8
 MAX_STORE_BYTES = 1 << 29
 
 
-def fits_store_budget(entries: int) -> bool:
-    """Whether a labeling of `entries` entries fits in MAX_STORE_BYTES."""
-    return entries * ENTRY_BYTES <= MAX_STORE_BYTES
+#: Bytes per entry of `canonical_labeling`, which has one entry per
+#: subcube: the store's 8, plus 4 for the one per-subcube 'i' array alive
+#: beside it (the label buckets, freed as the store is written). Before
+#: that, the tops table and the buckets take 8 together, and the tops
+#: table and its expansion at most 28/3.
+CANONICAL_ENTRY_BYTES = ENTRY_BYTES + 4
 
 
-def _check_budget(d: int, entries) -> None:
+def fits_store_budget(entries: int, entry_bytes: int = ENTRY_BYTES) -> bool:
+    """Whether a build of `entries` entries, `entry_bytes` bytes each at its
+    peak, fits in MAX_STORE_BYTES."""
+    return entries * entry_bytes <= MAX_STORE_BYTES
+
+
+def _check_budget(d: int, entries, entry_bytes: int = ENTRY_BYTES) -> None:
     """Reject d < 0, and a labeling of Q_d whose `entries(d)` predicted
     entries exceed the store budget, before anything is allocated."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
     # every vertex has a label entry, so 2^d entries at least
-    if d >= MAX_STORE_BYTES.bit_length() or not fits_store_budget(entries(d)):
+    if d >= MAX_STORE_BYTES.bit_length() or not fits_store_budget(entries(d), entry_bytes):
         raise BudgetError(
             f"a labeling of Q_{d} needs more than {MAX_STORE_BYTES} bytes of label store"
         )
@@ -101,33 +111,73 @@ def canonical_labeling(
     d: int, order: VertexOrder, graph: Optional[Graph] = None
 ) -> Labeling:
     """w is a hub of v iff w is the most important vertex of the subcube
-    spanned by v and w. Hierarchical and minimal for the given order."""
-    _check_budget(d, lambda d: 3 ** d)
+    spanned by v and w. Hierarchical and minimal for the given order.
+
+    So each of the 3^d subcubes gives exactly one entry: its top vertex, as
+    a hub of the top's antipode in the subcube. Subcube j has ternary digit
+    i equal to 0 or 1 where it fixes coordinate i to that value, and 2
+    where coordinate i is free. A dynamic program over the digits finds the
+    tops with one comparison per subcube: the top of a subcube whose
+    highest free coordinate is i is the higher-ranked of the tops of its
+    two halves, split at coordinate i.
+    """
+    _check_budget(d, lambda d: 3 ** d, CANONICAL_ENTRY_BYTES)
     n = 1 << d
     if order.n != n:
         raise ValueError(f"order covers {order.n} vertices, hypercube has {n}")
-    rank = order._rank
+    top = _subcube_tops(d, order._rank)
+    # one entry per subcube, bucketed by label: the subcubes are walked in
+    # blocks that share their high ternary digits, so the free coordinates
+    # of subcube q * len(low_free) + r are high_free[q] | low_free[r]
+    vertex = (None, *order.sequence)  # vertex of each rank
+    c = (d + 1) // 2
+    low_free, high_free = _free_masks(0, c), _free_masks(c, d)
+    width = len(low_free)
+    labels = [array("i") for _ in range(n)]
+    append = [label.append for label in labels]
+    for q, high in enumerate(high_free):
+        tops = list(map(vertex.__getitem__, top[q * width:(q + 1) * width]))
+        for owner, hub in zip(map(xor, tops, map(high.__or__, low_free)), tops):
+            append[owner](hub)
+    del top, append
     offsets, hubs, dists = array("q", [0]), array("i"), array("i")
     for v in range(n):
-        for w in range(n):  # ascending, so each label is written sorted
-            free = v ^ w
-            # argmax rank over members of the subcube spanned by v and w
-            best = w
-            best_rank = rank[w]
-            sub = free
-            while sub:
-                u = v ^ sub
-                if rank[u] > best_rank:
-                    best = u
-                    best_rank = rank[u]
-                sub = (sub - 1) & free
-            if rank[v] > best_rank:
-                best = v
-            if best == w:
-                hubs.append(w)
-                dists.append(popcount(free))
+        label = sorted(labels[v])
+        labels[v] = None
+        hubs.extend(label)
+        dists.extend(map(int.bit_count, map(v.__xor__, label)))
         offsets.append(len(hubs))
     return Labeling._from_arrays(offsets, hubs, dists, _fingerprint(d, graph))
+
+
+def _subcube_tops(d: int, rank: Sequence[int]) -> array:
+    """top[j] = the highest rank in subcube j, for the 3^d ternary ids j.
+
+    Before step i the index holds the bits above coordinate i over the
+    ternary digits below it; step i makes digit i ternary: each pair of
+    halves (bit i = 0, 1) is followed by their merge (digit i = 2).
+    """
+    top = array("i", rank)
+    width = 1
+    for _ in range(d):
+        old, top = top, array("i")
+        for base in range(0, len(old), 2 * width):
+            low, high = old[base:base + width], old[base + width:base + 2 * width]
+            top += low
+            top += high
+            top.extend(map(max, low, high))
+        width *= 3
+    return top
+
+
+def _free_masks(lo: int, hi: int) -> list[int]:
+    """The free coordinates, as bitmasks, of the ternary digit patterns over
+    coordinates lo..hi-1, in ascending order of their ternary value."""
+    masks = [0]
+    for i in range(lo, hi):
+        bit = 1 << i
+        masks = masks + masks + [m | bit for m in masks]
+    return masks
 
 
 def halfsplit_sizes(d: int) -> tuple[int, int]:

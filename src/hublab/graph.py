@@ -8,6 +8,8 @@ from math import inf
 from typing import Iterable, Iterator, Optional
 
 MAX_HYPERCUBE_DIM = 20
+#: Most vertices a graph file may declare: those of the largest hypercube.
+MAX_GRAPH_N = 1 << MAX_HYPERCUBE_DIM
 
 INFINITY = inf
 
@@ -61,13 +63,14 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         if is_hypercube is not None:
             d = is_hypercube
-            if n != 1 << d:
+            # d < n.bit_length() keeps 1 << d no larger than n
+            if not 0 <= d < n.bit_length() or n != 1 << d:
                 raise GraphFormatError(f"hypercube d={d} needs 2^{d} vertices, got {n}")
             expected_m = d * (1 << (d - 1)) if d > 0 else 0
             if len(self.edges) != expected_m:
                 raise GraphFormatError(f"hypercube d={d} has wrong edge count")
             for u, v in self.edges:
-                if popcount(u ^ v) != 1:
+                if (u ^ v).bit_count() != 1:
                     raise GraphFormatError(f"edge ({u},{v}) is not a bit flip")
         self.is_hypercube = is_hypercube
         self._fingerprint = None
@@ -225,10 +228,10 @@ def serialize_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    hypercube_d = None
-    header = None
+    """Graph from its text; malformed text raises GraphFormatError, a
+    header with more than MAX_GRAPH_N vertices BudgetError."""
+    hypercube_d = n = m = None
     edges = []
-    m_expected = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -238,23 +241,39 @@ def parse_graph(text: str) -> Graph:
             if parts and parts[0] == "hypercube":
                 for p in parts[1:]:
                     if p.startswith("d="):
-                        hypercube_d = int(p[2:])
+                        hypercube_d = _parse_int(p[2:], lineno, "hypercube dimension")
             continue
         parts = line.split()
-        if header is None:
+        if n is None:
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected 'n m' header")
-            header = (int(parts[0]), int(parts[1]))
-            m_expected = header[1]
+            n = _parse_int(parts[0], lineno, "vertex count")
+            m = _parse_int(parts[1], lineno, "edge count")
+            if n > MAX_GRAPH_N:
+                raise BudgetError(f"line {lineno}: {n} vertices exceed budget {MAX_GRAPH_N}")
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
-    if header is None:
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: expected integer endpoints 'u v'") from None
+    if n is None:
         raise GraphFormatError("missing 'n m' header")
-    if len(edges) != m_expected:
-        raise GraphFormatError(f"header declares {m_expected} edges, found {len(edges)}")
-    return Graph(header[0], edges, is_hypercube=hypercube_d)
+    if len(edges) != m:
+        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
+    return Graph(n, edges, is_hypercube=hypercube_d)
+
+
+def _parse_int(field: str, lineno: int, what: str) -> int:
+    """A nonnegative integer field of a graph file."""
+    try:
+        value = int(field)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: {what} {field!r} is not an integer") from None
+    if value < 0:
+        raise GraphFormatError(f"line {lineno}: negative {what} {value}")
+    return value
 
 
 def load_graph(path: str) -> Graph:

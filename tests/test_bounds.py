@@ -326,8 +326,22 @@ def test_ropt_beyond_materialization():
             assert rep.max_psi <= ropt <= (d + 1) * rep.max_psi
             assert ropt <= greedy_sizes[d]
     assert B.regular_lp_optimum(7).value == F(6208, 5)
+    rep = B.bound_report(8, with_lp=True)
+    assert rep.ropt == F(9728, 3)
+    assert rep.max_psi <= rep.ropt <= 9 * rep.max_psi
+    assert any(line.startswith("max_k psi(k) = ") for line in rep.sandwiches)
+
+
+def test_ropt_limited_by_pair_edges():
+    for d in range(6):
+        assert B.ropt_pair_edges(d) == sum(len(B.disjoint_pair_edges(d, k)) for k in range(d + 1))
+    assert all(B.ropt_fits_budget(d) for d in range(11))
+    assert B.ropt_pair_edges(10) <= B.MAX_ROPT_PAIR_EDGES < B.ropt_pair_edges(11)
+    assert not B.ropt_fits_budget(11) and not B.ropt_fits_budget(-1)
+    assert not B.ropt_fits_budget(10 ** 9)
     with pytest.raises(ValueError):
-        B.regular_lp_optimum(B.MAX_ROPT_D + 1)
+        B.regular_lp_optimum(11)
+    assert B.bound_report(11, with_lp=True).ropt is None
 
 
 def test_bound_report_rejects_inconsistent_row():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import sys
 
@@ -114,6 +115,36 @@ def test_greedy_scheme_and_max_n(capsys, tmp_path):
     assert rc == 1
 
 
+def test_greedy_default_max_n_rejects_q9(capsys, tmp_path, monkeypatch):
+    import hublab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("greedy started")
+
+    monkeypatch.setattr(cli, "greedy_run", never)
+    gpath = str(tmp_path / "h9.g")
+    run(capsys, "gen", "hypercube", "--d", "9", "--out", gpath)
+    rc, _, err = run(
+        capsys, "build", "--scheme", "greedy", "--graph", gpath, "--out", str(tmp_path / "g.hl")
+    )
+    assert rc == 1
+    assert "error: graph has 512 vertices; greedy capped at 256" in err
+
+
+def test_canonical_random_order_file_is_pinned(capsys, tmp_path):
+    # the bytes the subcube scan wrote for Q6 under the random:1 order
+    gpath, lpath = str(tmp_path / "h6.g"), tmp_path / "c6.hl"
+    run(capsys, "gen", "hypercube", "--d", "6", "--out", gpath)
+    rc, out, _ = run(
+        capsys, "build", "--scheme", "canonical", "--order", "random:1",
+        "--graph", gpath, "--out", str(lpath),
+    )
+    assert rc == 0 and "size 729" in out
+    assert hashlib.sha256(lpath.read_bytes()).hexdigest() == (
+        "510dd2999491d3f443bda5d1b45ab9952a94ce79ea47cc5ef007a0a13854b2e8"
+    )
+
+
 def test_greedy_stuck_is_domain_error(capsys, tmp_path, monkeypatch):
     # a BFS that puts every vertex at distance 1 from itself leaves the
     # self-pairs without a covering center, which greedy must report
@@ -167,6 +198,12 @@ def test_bounds_with_lp_and_oracle(capsys):
 def test_bounds_lp_reports_ropt_d7(capsys):
     rc, out, _ = run(capsys, "bounds", "--d", "7", "--lp")
     assert rc == 0 and "ROPT = 6208/5" in out
+
+
+def test_bounds_lp_reports_ropt_d8(capsys):
+    rc, out, _ = run(capsys, "bounds", "--d", "8", "--lp")
+    assert rc == 0 and "ROPT = 9728/3" in out
+    assert "sandwich: max_k psi(k) = 1536 <= ROPT = 9728/3" in out
 
 
 def test_bounds_deterministic(capsys):

@@ -1,8 +1,11 @@
+import itertools
 import random
+from array import array
 
 import pytest
 
 from hublab.constructions import (
+    CANONICAL_ENTRY_BYTES,
     VertexOrder,
     canonical_labeling,
     fits_store_budget,
@@ -49,8 +52,42 @@ def test_subset_hub_distances():
             assert dd == popcount(v ^ h) == popcount(v) - popcount(h)
 
 
+def canonical_by_definition(d, order):
+    """The canonical labeling straight from its definition, O(6^d): w is a
+    hub of v iff no vertex of the subcube spanned by v and w outranks w."""
+    n = 1 << d
+    rank = [order.rank(v) for v in range(n)]
+    offsets, hubs, dists = array("q", [0]), array("i"), array("i")
+    for v in range(n):
+        for w in range(n):  # ascending, so each label is written sorted
+            free = v ^ w
+            best = max(rank[v], rank[w])
+            sub = free
+            while sub:
+                best = max(best, rank[v ^ sub])
+                sub = (sub - 1) & free
+            if best == rank[w]:
+                hubs.append(w)
+                dists.append(popcount(free))
+        offsets.append(len(hubs))
+    return Labeling._from_arrays(offsets, hubs, dists)
+
+
+def test_canonical_equals_definition_for_every_order_d2():
+    for seq in itertools.permutations(range(4)):
+        order = VertexOrder(seq)
+        assert canonical_labeling(2, order) == canonical_by_definition(2, order)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_canonical_equals_definition_random_orders(d):
+    for seed in range(20):
+        order = VertexOrder.random(d, seed)
+        assert canonical_labeling(d, order) == canonical_by_definition(d, order)
+
+
 def test_canonical_reverse_id_equals_subset():
-    for d in range(6):
+    for d in range(11):
         assert canonical_labeling(d, VertexOrder.reverse_id(d)) == subset_hhl(d)
 
 
@@ -194,3 +231,13 @@ def test_store_budget_by_predicted_entries():
     assert fits_store_budget(halfsplit_sizes(16)[0])
     with pytest.raises(ValueError):
         subset_hhl(-1)
+
+
+def test_canonical_budget_counts_its_subcube_arrays():
+    # 3^16 entries at 12 bytes (store plus label buckets) are 516 MB, under
+    # the 512 MiB budget; 3^17 are not, and are rejected before any order
+    # is looked at
+    assert fits_store_budget(3 ** 16, CANONICAL_ENTRY_BYTES)
+    assert not fits_store_budget(3 ** 17, CANONICAL_ENTRY_BYTES)
+    with pytest.raises(BudgetError):
+        canonical_labeling(17, VertexOrder([0]))
