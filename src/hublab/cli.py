@@ -41,6 +41,10 @@ class DomainError(Exception):
     pass
 
 
+class OrderFormatError(ValueError):
+    """Malformed `--order`: a seed or an order-file line that is not an integer."""
+
+
 def _load_graph_arg(path: str) -> Graph:
     if path == "-":
         return parse_graph(sys.stdin.read())
@@ -92,13 +96,26 @@ def cmd_build(args) -> int:
 
 
 def _parse_order(spec: str, d: int) -> cons.VertexOrder:
+    """`--order`: reverse-id, random:<seed>, or a file with one vertex per
+    line (least important first; blank and `#` lines skipped)."""
     if spec == "reverse-id":
         return cons.VertexOrder.reverse_id(d)
     if spec.startswith("random:"):
-        return cons.VertexOrder.random(d, int(spec.split(":", 1)[1]))
+        return cons.VertexOrder.random(d, _order_int(spec.split(":", 1)[1], "random: seed"))
     with open(spec) as f:
-        seq = [int(line.split()[0]) for line in f if line.strip() and not line.startswith("#")]
+        seq = [
+            _order_int(line.split()[0], f"{spec}: line {lineno}: vertex")
+            for lineno, line in enumerate(f, start=1)
+            if line.strip() and not line.startswith("#")
+        ]
     return cons.VertexOrder(seq)
+
+
+def _order_int(token: str, where: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise OrderFormatError(f"{where} {token!r} is not an integer") from None
 
 
 def cmd_query(args) -> int:
@@ -134,10 +151,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    self_pairs = args.self_pairs == "on"
-    report = bnd.bound_report(
-        args.d, with_lp=args.lp, with_oracle=args.oracle, self_pairs=self_pairs
-    )
+    report = bnd.bound_report(args.d, with_lp=args.lp, with_oracle=args.oracle)
     if args.tsv:
         print("k\tN_k\ty_star\tpsi")
         for k, nk, ys, ps in report.table:
@@ -253,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--lp", action="store_true")
     bo.add_argument("--oracle", action="store_true")
     bo.add_argument("--tsv", action="store_true")
-    bo.add_argument("--self-pairs", choices=["on", "off"], default="on")
     bo.set_defaults(func=cmd_bounds)
 
     o = sub.add_parser("oracle", help="brute-force optima on tiny inputs")

@@ -213,11 +213,6 @@ def random_automorphism(d: int, seed: int) -> HypercubeAutomorphism:
 
 # --- text format: line `n m`, then m lines `u v`; `#` comments ignored ---
 
-def save_graph(g: Graph, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(serialize_graph(g))
-
-
 def serialize_graph(g: Graph) -> str:
     lines = []
     if g.is_hypercube is not None:

@@ -3,9 +3,9 @@
 A labeling assigns every vertex a sorted list of (hub, distance) pairs. The
 cover property requires each vertex pair to share a hub lying on a shortest
 path between them; that is what `verify_cover` certifies against a BFS
-oracle. Self-hubs (v in L(v)) are not required by the model; constructors
-that naturally produce them keep them, and query(s, s) returns 0 exactly
-when s is its own hub (otherwise twice the distance to the nearest hub).
+oracle. The self-pairs (v, v) count like any other pair, and v is the only
+hub on the trivial v-v path, so a valid labeling has v in L(v) at distance
+0 for every vertex v, and query(s, s) returns 0.
 
 The labels of all vertices live in one flat store (CSR): L(v) is
 hubs[offsets[v]:offsets[v + 1]] with the matching stored distances in
@@ -364,25 +364,6 @@ def is_hierarchical(lab: Labeling) -> HierarchyReport:
                 color[v] = BLACK
                 stack.pop()
     return HierarchyReport(hierarchical=True, witness=None)
-
-
-def brute_force_hierarchical(lab: Labeling) -> bool:
-    """O(n^3) transitive-closure cycle test; independent check for small n."""
-    n = lab.n
-    reach = [[False] * n for _ in range(n)]
-    for v, label in enumerate(lab.labels):
-        for h, _ in label:
-            if h != v:
-                reach[v][h] = True
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    return not any(reach[v][v] for v in range(n))
 
 
 # --- text format: `HL n`, fingerprint comment, then `v k hub dist ...` ---

@@ -30,13 +30,14 @@ class OracleResult:
     elapsed: float
 
 
-def brute_optimal_hl(g: Graph, self_pairs: bool = True) -> OracleResult:
+def brute_optimal_hl(g: Graph) -> OracleResult:
     """Exact minimum labeling size by branch and bound.
 
     State is the set of chosen (hub, vertex) memberships; branching picks
     the uncovered pair with the fewest on-path hub options and tries each
     option, cheapest membership increment first. The incumbent starts from
     the greedy labeling, so the search only has to certify optimality.
+    Every pair counts, the self-pairs (v, v) included.
     """
     n = g.n
     if n > MAX_BRUTE_HL_N:
@@ -51,8 +52,6 @@ def brute_optimal_hl(g: Graph, self_pairs: bool = True) -> OracleResult:
     pairs = []
     for i in range(n):
         for j in range(i, n):
-            if i == j and not self_pairs:
-                continue
             opts = [v for v in range(n) if dist[i][v] + dist[v][j] == dist[i][j]]
             pairs.append(((i, j), opts))
     # fail-first: branch on pairs with the fewest covering options

@@ -238,7 +238,7 @@ def test_dual_symmetrization_stays_feasible_d2():
     sol = solve(dual)
     # average the optimal pair weights per distance class
     per_k = [F(0)] * (d + 1)
-    for name, val in sol.assignment.items():
+    for name, val in zip(dual.var_names, sol.values):
         i, j = map(int, name[2:-1].split(","))
         per_k[popcount(i ^ j)] += val
     y_tilde = [per_k[k] / B.pair_count(d, k) for k in range(d + 1)]
@@ -250,12 +250,6 @@ def test_dual_symmetrization_stays_feasible_d2():
     ) == sol.value
 
 
-def test_self_pairs_flag_changes_programs():
-    with_self = solve(B.build_dual_lp(1, self_pairs=True)).value
-    without = solve(B.build_dual_lp(1, self_pairs=False)).value
-    assert with_self == 3 and without == 2
-
-
 def test_lp_builder_caps():
     with pytest.raises(ValueError):
         B.build_regular_lp(5)
@@ -263,7 +257,6 @@ def test_lp_builder_caps():
         B.build_dual_lp(4)
     with pytest.raises(ValueError):
         B.build_primal_lp(3)
-    B.build_primal_lp(3, allow_large=True)  # permitted behind the flag
 
 
 def test_bound_report_consistency():
@@ -309,22 +302,20 @@ def test_separation_zero_exactly_at_inverse_density(d):
         assert B.most_violated_subset(d, {k: y_k * F(101, 100)})[0] > 0
 
 
-@pytest.mark.parametrize("self_pairs", [True, False])
 @pytest.mark.parametrize("d", range(5))
-def test_row_generation_matches_materialized_lp(d, self_pairs):
-    sol = B.regular_lp_optimum(d, self_pairs=self_pairs)
-    assert sol.value == solve(B.build_regular_lp(d, self_pairs=self_pairs)).value
-    assert B.bound_report(d, with_lp=True, self_pairs=self_pairs).ropt == sol.value
+def test_row_generation_matches_materialized_lp(d):
+    sol = B.regular_lp_optimum(d)
+    assert sol.value == solve(B.build_regular_lp(d)).value
+    assert B.bound_report(d, with_lp=True).ropt == sol.value
 
 
 def test_ropt_beyond_materialization():
     greedy_sizes = {5: 228, 6: 643}
-    for self_pairs, expected in ((True, {5: 176, 6: 464}), (False, {5: 160, 6: 432})):
-        for d, ropt in expected.items():
-            rep = B.bound_report(d, with_lp=True, self_pairs=self_pairs)
-            assert rep.ropt == ropt
-            assert rep.max_psi <= ropt <= (d + 1) * rep.max_psi
-            assert ropt <= greedy_sizes[d]
+    for d, ropt in {5: 176, 6: 464}.items():
+        rep = B.bound_report(d, with_lp=True)
+        assert rep.ropt == ropt
+        assert rep.max_psi <= ropt <= (d + 1) * rep.max_psi
+        assert ropt <= greedy_sizes[d]
     assert B.regular_lp_optimum(7).value == F(6208, 5)
     rep = B.bound_report(8, with_lp=True)
     assert rep.ropt == F(9728, 3)

@@ -99,6 +99,27 @@ def test_canonical_order_variants(capsys, tmp_path):
     assert rc == 0 and "size 9" in out
 
 
+def test_canonical_bad_orders_are_typed_errors(capsys, tmp_path):
+    gpath = str(tmp_path / "h2.g")
+    run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)
+    out = str(tmp_path / "c.hl")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# least important first\n3\n\nx\n1\n0\n")
+    short = tmp_path / "short.txt"
+    short.write_text("2\n1\n0\n")
+    for order, message in (
+        ("random:x", "random: seed 'x' is not an integer"),
+        (str(bad), "line 4: vertex 'x' is not an integer"),
+        (str(short), "order covers 3 vertices"),
+    ):
+        rc, _, err = run(
+            capsys, "build", "--scheme", "canonical", "--graph", gpath,
+            "--out", out, "--order", order,
+        )
+        assert rc == 1 and message in err
+        assert "invalid literal" not in err
+
+
 def test_greedy_scheme_and_max_n(capsys, tmp_path):
     gpath = str(tmp_path / "h2.g")
     run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)
@@ -242,6 +263,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "build", "--scheme", "nope", "--graph", "x", "--out", "y")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "bounds", "--d", "one")[0] == 2
+    assert run(capsys, "bounds", "--d", "1", "--self-pairs", "off")[0] == 2
 
 
 def test_missing_file_is_domain_error(capsys):

@@ -9,7 +9,6 @@ from hublab.labeling import (
     Labeling,
     LabelingFormatError,
     NO_COMMON_HUB,
-    brute_force_hierarchical,
     is_hierarchical,
     parse_labeling,
     query,
@@ -164,6 +163,26 @@ def test_hierarchy_self_labels_vacuously_true():
     g = hypercube(2)
     lab2 = Labeling([[(v, 0)] for v in range(4)], fingerprint=g.fingerprint())
     assert not verify_cover(g, lab2).valid
+
+
+def brute_force_hierarchical(lab: Labeling) -> bool:
+    """Reference: O(n^3) transitive-closure cycle test over the relation
+    "w is a hub of v" on distinct vertices."""
+    n = lab.n
+    reach = [[False] * n for _ in range(n)]
+    for v, label in enumerate(lab.labels):
+        for h, _ in label:
+            if h != v:
+                reach[v][h] = True
+    for k in range(n):
+        rk = reach[k]
+        for i in range(n):
+            if reach[i][k]:
+                ri = reach[i]
+                for j in range(n):
+                    if rk[j]:
+                        ri[j] = True
+    return not any(reach[v][v] for v in range(n))
 
 
 @pytest.mark.parametrize("d", range(1, 7))

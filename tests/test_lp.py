@@ -2,7 +2,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hublab.lp as lp_module
 from hublab.bounds import build_dual_lp, build_primal_lp, build_regular_lp
 from hublab.lp import (
     GEQ,
@@ -11,11 +14,20 @@ from hublab.lp import (
     LPSizeError,
     RationalLP,
     certify,
-    dump_lp,
     solve,
 )
 
 F = Fraction
+
+
+def _transpose(lp):
+    """The covering dual of a packing program: min b.y, A^T y >= c, y >= 0."""
+    return RationalLP(
+        "min",
+        [rhs for _, _, rhs in lp.rows],
+        [([coeffs[j] for coeffs, _, _ in lp.rows], GEQ, c) for j, c in enumerate(lp.objective)],
+        name=f"{lp.name}^T",
+    )
 
 
 def test_trivial_max():
@@ -33,12 +45,10 @@ def test_min_with_geq():
 
 
 def test_infeasible():
-    lp = RationalLP(
-        "max",
-        [F(1)],
-        [([F(1)], GEQ, F(2)), ([F(1)], LEQ, F(1))],
-    )
-    assert solve(lp).status == "infeasible"
+    # covering programs with a row that no nonnegative point satisfies
+    for bad in ([F(-1), F(0)], [F(0), F(0)]):
+        lp = RationalLP("min", [F(1), F(1)], [([F(1), F(1)], GEQ, F(1)), (bad, GEQ, F(1))])
+        assert solve(lp).status == "infeasible"
 
 
 def test_unbounded():
@@ -47,7 +57,7 @@ def test_unbounded():
 
 
 def test_unbounded_packing_solved_through_transpose():
-    # more rows than variables, so the dual is solved; it is infeasible
+    # the covering transpose is infeasible: its first row asks 0 >= 1
     lp = RationalLP(
         "max",
         [F(1), F(1)],
@@ -58,16 +68,13 @@ def test_unbounded_packing_solved_through_transpose():
 
 @pytest.mark.parametrize("build", [lambda: build_regular_lp(3), lambda: build_dual_lp(2)])
 def test_transposed_packing_matches_direct_solve(build):
-    # both have more rows than variables, so `solve` goes through the
-    # transpose; the untransposed tableau must reach the same optimum
-    from hublab.lp import _simplex
-
+    # the explicit covering transpose reaches the same optimum, and its
+    # row multipliers are an optimal packing solution
     lp = build()
-    assert lp.num_rows > lp.num_vars
     sol = solve(lp)
-    status, x, y = _simplex(lp, 10**9)
-    assert status == "optimal"
-    assert sol.value == certify(lp, x, y)
+    tsol = solve(_transpose(lp))
+    assert tsol.status == "optimal" and tsol.value == sol.value
+    assert certify(lp, tsol.duals, tsol.values) == sol.value
 
 
 def test_duals_certify_optimum():
@@ -85,9 +92,12 @@ def test_duals_certify_optimum():
 @pytest.mark.parametrize("build", [
     lambda: build_primal_lp(1),  # min with >= rows
     lambda: build_dual_lp(2),  # packing, solved through its transpose
-    lambda: RationalLP("min", [F(1)], [([F(1)], GEQ, F(-5))], nonneg=[False]),
-    lambda: RationalLP("max", [F(1), F(1)], [([F(-1), F(1)], GEQ, F(-2)),
-                                             ([F(1), F(1)], LEQ, F(4))]),
+    # covering: optimum (1, 1) with both multipliers 1
+    lambda: RationalLP("min", [F(2), F(3)], [([F(1), F(1)], GEQ, F(2)),
+                                             ([F(1), F(2)], GEQ, F(3))]),
+    # packing with a zero right-hand side: optimum (1, 1), multipliers 1/3, 2/3
+    lambda: RationalLP("max", [F(1), F(1)], [([F(1), F(-1)], LEQ, F(0)),
+                                             ([F(1), F(2)], LEQ, F(3))]),
 ])
 def test_certificate_rejects_perturbed_dual(build):
     lp = build()
@@ -125,17 +135,6 @@ def test_fractional_optimum():
     )
     sol = solve(lp)
     assert sol.value == 2 and sol.values == [F(1), F(1)]
-
-
-def test_free_variable():
-    lp = RationalLP(
-        "min",
-        [F(1)],
-        [([F(1)], GEQ, F(-5))],
-        nonneg=[False],
-    )
-    sol = solve(lp)
-    assert sol.value == -5
 
 
 def test_degenerate_cycling_guard():
@@ -213,25 +212,12 @@ def test_weak_duality_on_feasible_points():
     assert sum(half) <= p.value
 
 
-def test_size_guard_names_instance():
+def test_size_guard_names_instance(monkeypatch):
+    monkeypatch.setattr(lp_module, "MAX_CELLS", 1)
     lp = RationalLP("max", [F(1)], [([F(1)], LEQ, F(1))], name="guard-demo")
     with pytest.raises(LPSizeError) as e:
-        solve(lp, max_cells=1)
+        solve(lp)
     assert "guard-demo" in str(e.value)
-
-
-def test_dump_format():
-    lp = RationalLP(
-        "max",
-        [F(1), F(3, 2)],
-        [([F(1), F(2)], LEQ, F(5, 3))],
-        var_names=["a", "b"],
-        name="demo",
-    )
-    text = dump_lp(lp)
-    assert "var a" in text and "var b" in text
-    assert "max 1 3/2" in text
-    assert "row 1 2 <= 5/3" in text
 
 
 def test_rejects_malformed():
@@ -241,3 +227,69 @@ def test_rejects_malformed():
         RationalLP("max", [F(1)], [([F(1)], "==", F(1))])
     with pytest.raises(ValueError):
         RationalLP("best", [F(1)], [])
+    # only packing and covering programs: mixed relations, a packing program
+    # with a negative right-hand side, a covering one with a negative cost
+    for sense, objective, rows in (
+        ("max", [1, 1], [([1, 0], LEQ, 1), ([0, 1], GEQ, 1)]),
+        ("max", [1], [([1], LEQ, -1)]),
+        ("min", [1, -1], [([1, 1], GEQ, 1)]),
+        ("min", [1], [([1], LEQ, 1)]),
+    ):
+        with pytest.raises(ValueError, match="shape-demo: neither a packing program"):
+            RationalLP(sense, objective, rows, name="shape-demo")
+
+
+def _improving_ray_2var(objective, rows):
+    """Whether max objective.x over {x >= 0, rows} has a ray r >= 0 with
+    a.r <= 0 on every row and objective.r > 0; in two dimensions every
+    extreme ray lies on an axis or on a line a.r = 0."""
+    candidates = [(F(1), F(0)), (F(0), F(1))]
+    for (a, b), _ in rows:
+        candidates += [(b, -a), (-b, a)]
+    return any(
+        r != (0, 0) and min(r) >= 0
+        and all(a * r[0] + b * r[1] <= 0 for (a, b), _ in rows)
+        and objective[0] * r[0] + objective[1] * r[1] > 0
+        for r in candidates
+    )
+
+
+small = st.integers(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(small, small),
+    st.lists(st.tuples(st.tuples(small, small), st.integers(0, 4)), max_size=5),
+)
+def test_two_variable_packing_against_vertex_enumeration(objective, rows):
+    objective = [F(c) for c in objective]
+    rows = [((F(a), F(b)), F(c)) for (a, b), c in rows]
+    lp = RationalLP("max", objective, [(list(coeffs), LEQ, rhs) for coeffs, rhs in rows])
+    sol = solve(lp)
+    if sol.status == "unbounded":
+        assert _improving_ray_2var(objective, rows)
+    else:
+        assert sol.status == "optimal"
+        assert sol.value == _brute_force_2var_max(objective, rows)
+
+
+@st.composite
+def packing_programs(draw):
+    nv = draw(st.integers(1, 4))
+    objective = draw(st.lists(small, min_size=nv, max_size=nv))
+    rows = draw(st.lists(
+        st.tuples(st.lists(small, min_size=nv, max_size=nv), st.integers(0, 4)), max_size=6))
+    return RationalLP("max", objective, [(coeffs, LEQ, rhs) for coeffs, rhs in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(packing_programs())
+def test_packing_and_its_covering_transpose_agree(lp):
+    sol = solve(lp)
+    tsol = solve(_transpose(lp))
+    assert (sol.status == "unbounded") == (tsol.status == "infeasible")
+    if sol.status == "optimal":
+        assert tsol.status == "optimal" and sol.value == tsol.value
+        assert certify(lp, sol.values, sol.duals) == sol.value
+        assert certify(_transpose(lp), tsol.values, tsol.duals) == sol.value
