@@ -259,33 +259,42 @@ def _on_path(v: int, i: int, j: int) -> bool:
     return (v ^ i) & (v ^ j) == 0
 
 
-def _dedup_rows(rows: list, row_names: list) -> tuple[list, list]:
-    """Keep one copy per coefficient vector (tightest rhs); drop rows
-    dominated by another row with componentwise-larger coefficients and
-    smaller-or-equal rhs. Preserves the feasible set of a <=-constrained,
-    nonnegative-variable program."""
+def _packing_rows(n: int, covered: list, num_vars: int) -> list:
+    """Rows over vertex sets S of an n-vertex graph, one coefficient per
+    variable: for each center's list of (i, j, variable) pairs, the row of S
+    counts, per variable, the center's pairs with both ends in S, and its
+    right-hand side is |S|.
+
+    Each S is visited once per center; its row is that of S without its
+    highest vertex t plus t's pairs inside S. One row is kept per distinct
+    nonzero coefficient vector, the one with the smallest |S|: a larger S
+    with the same coefficients is implied by it, and a zero row always holds.
+    """
     best: dict = {}
-    for (coeffs, rel, rhs), name in zip(rows, row_names):
-        key = tuple(coeffs)
-        if key not in best or rhs < best[key][0]:
-            best[key] = (rhs, rel, name)
-    items = [(list(k), rel, rhs, name) for k, (rhs, rel, name) in best.items()]
-    if len(items) > 600:
-        # Pareto pruning is quadratic; key dedup alone is enough above this
-        items.sort(key=lambda r: r[3])
-        return [(c, rel, rhs) for c, rel, rhs, _ in items], [n for _, _, _, n in items]
-    kept = []
-    for a in items:
-        # coefficient vectors are distinct after key dedup, so domination by
-        # (componentwise >= coeffs, <= rhs) is strict and never mutual
-        dominated = any(
-            b is not a and b[2] <= a[2] and all(cb >= ca for cb, ca in zip(b[0], a[0]))
-            for b in items
-        )
-        if not dominated:
-            kept.append(a)
-    kept.sort(key=lambda r: r[3])
-    return [(c, rel, rhs) for c, rel, rhs, _ in kept], [n for _, _, _, n in kept]
+    for pairs in covered:
+        by_top = [[] for _ in range(n)]  # t -> (bit of the other end, variable)
+        for i, j, var in pairs:
+            by_top[max(i, j)].append((1 << min(i, j), var))
+        row_of = [(0,) * num_vars]
+        for S in range(1, 1 << n):
+            t = S.bit_length() - 1
+            coeffs = list(row_of[S ^ (1 << t)])
+            for bit, var in by_top[t]:
+                if S & bit:
+                    coeffs[var] += 1
+            coeffs = tuple(coeffs)
+            row_of.append(coeffs)
+            size = S.bit_count()
+            if best.get(coeffs, size + 1) > size:
+                best[coeffs] = size
+    return [(list(coeffs), LEQ, size) for coeffs, size in best.items() if any(coeffs)]
+
+
+def _regular_pairs(d: int, classes) -> list[tuple[int, int, int]]:
+    """The pairs (i, j, k) through the all-zeros vertex of Q_d whose distance
+    k is in `classes`, in the order of `classes`; k = 0 is the self-pair
+    (0, 0, 0)."""
+    return [(i, j, k) for k in classes for i, j in disjoint_pair_edges(d, k)]
 
 
 def build_regular_lp(d: int) -> RationalLP:
@@ -293,32 +302,16 @@ def build_regular_lp(d: int) -> RationalLP:
     every vertex subset S, sum over pairs within S on a shortest path
     through the all-zeros vertex of y_dist <= |S|.
 
-    Constraints are materialized for all 2^(2^d) subsets and then
-    deduplicated; identical coefficient vectors keep the smallest |S|.
+    Materializes all 2^(2^d) subsets through `_packing_rows`, which keeps one
+    row per distinct coefficient vector, the one with the smallest |S|.
     """
     if not 0 <= d <= MAX_REGULAR_D:
         raise ValueError(f"regular LP materialization capped at d <= {MAX_REGULAR_D}")
-    n = 1 << d
-    pairs = []  # (bitmask over vertices, k); k = 0 is the self-pair (0, 0)
-    for k in range(d + 1):
-        for i, j in disjoint_pair_edges(d, k):
-            pairs.append(((1 << i) | (1 << j), k))
-    rows = []
-    names = []
-    for S in range(1, 1 << n):
-        coeffs = [Fraction(0)] * (d + 1)
-        for pm, k in pairs:
-            if S & pm == pm:
-                coeffs[k] += 1
-        rows.append((coeffs, LEQ, Fraction(S.bit_count())))
-        names.append(f"S={S:#x}")
-    rows, names = _dedup_rows(rows, names)
     return RationalLP(
         sense="max",
         objective=[pair_count(d, k) for k in range(d + 1)],
-        rows=rows,
+        rows=_packing_rows(1 << d, [_regular_pairs(d, range(d + 1))], d + 1),
         var_names=[f"y~{k}" for k in range(d + 1)],
-        row_names=names,
         name=f"regular-lp-d{d}",
     )
 
@@ -401,7 +394,7 @@ def most_violated_subset(d: int, y: dict) -> tuple[Fraction, int]:
     y = {k: Fraction(w) for k, w in y.items() if w}
     scale = lcm(*(w.denominator for w in y.values()))
     n = 1 << d
-    pairs = [(i, j, int(w * scale)) for k, w in y.items() for i, j in disjoint_pair_edges(d, k)]
+    pairs = [(i, j, int(y[k] * scale)) for i, j, k in _regular_pairs(d, y)]
     total = sum(w for _, _, w in pairs)
     # node 0 is the source, 1 the sink, 2 + v vertex v; pair edges follow
     arcs = [(2 + v, 1, scale) for v in range(n)]
@@ -447,7 +440,7 @@ def regular_lp_optimum(d: int) -> LPSolution:
             f"ROPT at d={d} needs more than {MAX_ROPT_PAIR_EDGES} pair edges in its separation"
         )
     ks = range(d + 1)
-    pairs = [(i, j, k) for k in ks for i, j in disjoint_pair_edges(d, k)]
+    pairs = _regular_pairs(d, ks)
 
     def row(S: int) -> tuple:
         coeffs = [0] * (d + 1)
@@ -484,35 +477,14 @@ def build_dual_lp(d: int) -> RationalLP:
         raise ValueError(f"dual LP materialization capped at d <= {MAX_DUAL_D}")
     n = 1 << d
     pairs = _all_pairs(n)
-    pidx = {p: idx for idx, p in enumerate(pairs)}
-    covered = {}  # v -> [(pairmask, pair index)]
-    for v in range(n):
-        lst = []
-        for i, j in pairs:
-            if _on_path(v, i, j):
-                lst.append(((1 << i) | (1 << j), pidx[(i, j)]))
-        covered[v] = lst
-    rows = []
-    names = []
-    for v in range(n):
-        lst = covered[v]
-        for S in range(1, 1 << n):
-            coeffs = [Fraction(0)] * len(pairs)
-            any_set = False
-            for pm, idx in lst:
-                if S & pm == pm:
-                    coeffs[idx] = Fraction(1)
-                    any_set = True
-            if any_set:
-                rows.append((coeffs, LEQ, Fraction(S.bit_count())))
-                names.append(f"v={v},S={S:#x}")
-    rows, names = _dedup_rows(rows, names)
+    covered = [
+        [(i, j, idx) for idx, (i, j) in enumerate(pairs) if _on_path(v, i, j)] for v in range(n)
+    ]
     return RationalLP(
         sense="max",
         objective=[Fraction(1)] * len(pairs),
-        rows=rows,
+        rows=_packing_rows(n, covered, len(pairs)),
         var_names=[f"y[{i},{j}]" for i, j in pairs],
-        row_names=names,
         name=f"dual-lp-d{d}",
     )
 
@@ -604,9 +576,9 @@ def bound_report(d: int, with_lp: bool = False, with_oracle: bool = False) -> Bo
             )
             if not max_psi <= ropt <= (d + 1) * max_psi:
                 raise BoundCheckError(f"d={d}: ROPT {ropt} outside its psi sandwich")
-        # the d=3 pair-packing solve takes about 30 s in exact rationals on
-        # a 2.1 GHz Xeon; only report it where it is cheap (the builder
-        # itself still allows d=3)
+        # the d=3 pair-packing solve (1140 rows) takes 50-70 s in exact
+        # rationals on a 2.1 GHz Xeon; only report it where it is cheap (the
+        # builder itself still allows d=3)
         if d <= MAX_PRIMAL_D:
             lopt = solve(build_dual_lp(d)).value
             sandwiches.append(f"LOPT = {lopt} (path-packing dual optimum)")

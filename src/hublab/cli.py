@@ -63,6 +63,21 @@ def _fmt_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator} (~{float(x):.6g})"
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low` (a usage error otherwise)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    return parse
+
+
 def cmd_gen(args) -> int:
     g = hypercube(args.d)
     text = serialize_graph(g)
@@ -258,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--graph", required=True)
     v.add_argument("--labels", required=True)
     v.add_argument("--hierarchy", action="store_true")
-    v.add_argument("--sample", type=int, default=None)
+    v.add_argument("--sample", type=_int_at_least(1), default=None)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
@@ -276,10 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=cmd_oracle)
 
     gr = sub.add_parser("gap-report", help="HHL vs half-split HL size table")
-    gr.add_argument("--d-max", type=int, required=True)
+    gr.add_argument("--d-max", type=_int_at_least(0), required=True)
     gr.add_argument("--verify-max", type=int, default=12,
                     help="materialize and verify labelings up to this d")
-    gr.add_argument("--sample", type=int, default=2000,
+    gr.add_argument("--sample", type=_int_at_least(1), default=2000,
                     help="sampled cover pairs for d > 8")
     gr.add_argument("--seed", type=int, default=0)
     gr.add_argument("--tsv", action="store_true")

@@ -259,13 +259,16 @@ def verify_cover(
     """Check the cover property against exact BFS distances.
 
     Exhaustive over all unordered pairs (self-pairs included) by default;
-    with `sample` set, checks that many uniformly random pairs instead. A
+    with `sample` set, checks that many uniformly random pairs instead
+    (ValueError unless it is at least 1, so a pass always checked a pair). A
     pair is covered when the query answer equals the BFS distance. The
     stored hub distances of every label checked are validated against the
     oracle first (LabelingFormatError if one is wrong). Violations are
     reported sorted by (s, t), truncated to the first
     MAX_REPORTED_VIOLATIONS.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample of {sample} pairs checks nothing; need at least 1")
     if lab.fingerprint is not None and lab.fingerprint != g.fingerprint():
         raise FingerprintMismatch(
             f"labeling fingerprint {lab.fingerprint} != graph {g.fingerprint()}"

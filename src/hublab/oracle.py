@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Optional
 
 from .constructions import VertexOrder, canonical_labeling
-from .graph import Graph, bfs_distances, hypercube
+from .graph import Graph, SubcubeDescriptor, bfs_distances
 from .labeling import Labeling, _from_hub_lists, total_size
 
 MAX_BRUTE_HL_N = 6
@@ -126,17 +126,9 @@ def brute_optimal_hhl_hypercube(d: int) -> OracleResult:
         raise ValueError(f"order enumeration capped at d <= {MAX_BRUTE_HHL_D}")
     t0 = time.monotonic()
     n = 1 << d
-    # members of every spanned subcube, precomputed per (v, free-mask)
-    members = {}
-    for free in range(n):
-        sub = free
-        lst = []
-        while True:
-            lst.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        members[free] = lst
+    # members of the subcube through 0 with each free mask; v ^ s runs over
+    # the subcube v and w span
+    members = {free: list(SubcubeDescriptor(0, free).members()) for free in range(n)}
     best_size = None
     best_order = None
     explored = 0

@@ -250,6 +250,55 @@ def test_dual_symmetrization_stays_feasible_d2():
     ) == sol.value
 
 
+def rows_by_definition(n, covered, num_vars):
+    """The rows of a materialized packing program by their definition: for
+    each center's (i, j, variable) pairs and each vertex set S, count the
+    pairs with both ends in S; one row per distinct nonzero coefficient
+    vector, mapped to the smallest |S| that gives it."""
+    best = {}
+    for pairs in covered:
+        masks = [((1 << i) | (1 << j), var) for i, j, var in pairs]
+        for S in range(1, 1 << n):
+            coeffs = [0] * num_vars
+            for mask, var in masks:
+                if S & mask == mask:
+                    coeffs[var] += 1
+            key = tuple(coeffs)
+            if any(key) and best.get(key, n + 1) > S.bit_count():
+                best[key] = S.bit_count()
+    return best
+
+
+def _rows_of(lp):
+    rows = {tuple(coeffs): rhs for coeffs, _, rhs in lp.rows}
+    assert len(rows) == lp.num_rows
+    return rows
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_regular_lp_rows_equal_definition(d):
+    pairs = [(i, j, k) for k in range(d + 1) for i, j in B.disjoint_pair_edges(d, k)]
+    assert _rows_of(B.build_regular_lp(d)) == rows_by_definition(1 << d, [pairs], d + 1)
+
+
+@pytest.mark.parametrize("d", range(3))
+def test_dual_lp_rows_equal_definition(d):
+    lp = B.build_dual_lp(d)
+    n = 1 << d
+    var = {name: idx for idx, name in enumerate(lp.var_names)}
+    covered = [
+        [
+            (i, j, var[f"y[{i},{j}]"])
+            for i in range(n)
+            for j in range(i, n)
+            if popcount(i ^ v) + popcount(v ^ j) == popcount(i ^ j)
+        ]
+        for v in range(n)
+    ]
+    assert len(var) == n * (n + 1) // 2
+    assert _rows_of(lp) == rows_by_definition(n, covered, len(var))
+
+
 def test_lp_builder_caps():
     with pytest.raises(ValueError):
         B.build_regular_lp(5)

@@ -75,6 +75,25 @@ def test_verify_detects_invalid(capsys, tmp_path):
     assert "violation: 0 1" in out
 
 
+def test_verify_sample_must_be_positive(capsys, tmp_path):
+    from hublab.constructions import subset_hhl
+    from hublab.graph import hypercube
+    from hublab.labeling import Labeling, save_labeling
+
+    # hub 0 removed from L(7): the pair (0, 7) has no common hub left
+    g = hypercube(3)
+    labels = [list(label) for label in subset_hhl(3, graph=g).labels]
+    labels[7] = [p for p in labels[7] if p[0] != 0]
+    gpath, lpath = str(tmp_path / "h3.g"), str(tmp_path / "broken.hl")
+    run(capsys, "gen", "hypercube", "--d", "3", "--out", gpath)
+    save_labeling(Labeling(labels, fingerprint=g.fingerprint()), lpath)
+    rc, out, _ = run(capsys, "verify", "--graph", gpath, "--labels", lpath)
+    assert rc == 1 and "violation: 0 7" in out
+    for bad in ("0", "-5"):
+        rc, out, err = run(capsys, "verify", "--graph", gpath, "--labels", lpath, "--sample", bad)
+        assert rc == 2 and "cover: OK" not in out and "--sample" in err
+
+
 def test_canonical_order_variants(capsys, tmp_path):
     gpath = str(tmp_path / "h2.g")
     run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)
@@ -257,6 +276,13 @@ def test_gap_report_tsv_d12(capsys):
     assert rc == 0
     last = out.strip().splitlines()[-1]
     assert last.split("\t")[:3] == ["12", "531441", "520192"]
+
+
+def test_gap_report_rejects_empty_sample_and_negative_d_max(capsys):
+    rc, out, err = run(capsys, "gap-report", "--d-max", "10", "--sample", "0")
+    assert rc == 2 and "materialized+verified" not in out and "--sample" in err
+    rc, out, err = run(capsys, "gap-report", "--d-max", "-1")
+    assert rc == 2 and out == "" and "--d-max" in err
 
 
 def test_usage_errors(capsys):

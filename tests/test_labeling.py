@@ -113,6 +113,14 @@ def test_verify_cover_sampled_rejects_wrong_distance():
         verify_cover(g, lab, sample=100_000, seed=0)
 
 
+def test_verify_cover_rejects_empty_sample():
+    g = hypercube(2)
+    lab = subset_hhl(2, graph=g)
+    for sample in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_cover(g, lab, sample=sample)
+
+
 def test_verify_cover_sampled():
     g = hypercube(6)
     lab = subset_hhl(6, graph=g)

@@ -152,6 +152,32 @@ def test_degenerate_cycling_guard():
     assert sol.status == "optimal" and sol.value == 1
 
 
+def test_bland_entering_column_lowest_on_ties():
+    # first pivot: x1 and x2 tie at ratio 0; the lowest column, x1, enters
+    lp = RationalLP(
+        "min",
+        [F(1), F(0), F(0)],
+        [
+            ([F(0), F(1), F(2)], GEQ, F(1)),
+            ([F(1), F(1), F(1)], GEQ, F(1)),
+            ([F(2), F(0), F(2)], GEQ, F(0)),
+        ],
+    )
+    sol = solve(lp)
+    assert sol.value == 0
+    assert sol.values == [F(0), F(1), F(0)]
+    assert sol.duals == [F(0), F(0), F(0)]
+
+
+def test_bland_leaving_row_lowest_basic_column():
+    # both rows start negative; the row whose surplus has the lower column leaves
+    lp = RationalLP("min", [F(1), F(2)], [([F(2), F(2)], GEQ, F(1)), ([F(2), F(1)], GEQ, F(1))])
+    sol = solve(lp)
+    assert sol.value == F(1, 2)
+    assert sol.values == [F(1, 2), F(0)]
+    assert sol.duals == [F(1, 2), F(0)]
+
+
 def test_solution_is_exactly_feasible():
     lp = build_dual_lp(2)
     sol = solve(lp)
