@@ -387,14 +387,22 @@ def most_violated_subset(d: int, y: dict) -> tuple[Fraction, int]:
     so the cut is exact; the closure's own value must equal the flow's
     bound, which proves it maximal.
     """
-    for k, w in y.items():
+    for k in y:
         _check_k(d, k)
+    return _most_violated(d, _regular_pairs(d, y), y)
+
+
+def _most_violated(d: int, pairs: list, y: dict) -> tuple[Fraction, int]:
+    """`most_violated_subset` over the pairs (i, j, k) of `_regular_pairs`
+    whose class k has a positive weight in y; the rest take no part."""
+    for k, w in y.items():
         if w < 0:
             raise ValueError(f"negative weight {w} for distance {k}")
     y = {k: Fraction(w) for k, w in y.items() if w}
     scale = lcm(*(w.denominator for w in y.values()))
+    weight = {k: int(w * scale) for k, w in y.items()}
     n = 1 << d
-    pairs = [(i, j, int(y[k] * scale)) for i, j, k in _regular_pairs(d, y)]
+    pairs = [(i, j, weight[k]) for i, j, k in pairs if k in weight]
     total = sum(w for _, _, w in pairs)
     # node 0 is the source, 1 the sink, 2 + v vertex v; pair edges follow
     arcs = [(2 + v, 1, scale) for v in range(n)]
@@ -458,7 +466,7 @@ def regular_lp_optimum(d: int) -> LPSolution:
             var_names=[f"y~{k}" for k in ks],
             name=f"regular-lp-d{d}-rows{len(rows)}",
         ))
-        violation, S = most_violated_subset(d, dict(zip(ks, sol.values)))
+        violation, S = _most_violated(d, pairs, dict(zip(ks, sol.values)))
         if violation <= 0:
             return sol
         rows.append(row(S))

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from operator import add, ge, ne
+from operator import ge, ne
 from typing import Optional
 
 from .graph import Graph, bfs_distances, popcount
@@ -235,8 +235,9 @@ class _DistanceOracle:
         return row[v]
 
 
-def _checked_map(lab: Labeling, oracle: _DistanceOracle, s: int) -> dict:
-    """L(s) as {hub: dist}; LabelingFormatError unless every stored distance is true."""
+def _hub_mask(lab: Labeling, oracle: _DistanceOracle, s: int) -> int:
+    """The hubs of L(s) as a bitset (bit h set iff h is in L(s));
+    LabelingFormatError unless every stored distance is true."""
     a, b = lab.offsets[s], lab.offsets[s + 1]
     hubs, dists = lab.hubs[a:b], lab.dists[a:b]
     if oracle.g.is_hypercube is not None:
@@ -247,7 +248,7 @@ def _checked_map(lab: Labeling, oracle: _DistanceOracle, s: int) -> dict:
     if any(map(ne, true, dists)):
         h, dd = next((h, dd) for h, dd in zip(hubs, dists) if oracle.dist(s, h) != dd)
         raise LabelingFormatError(f"stored distance {dd} for hub {h} of vertex {s} is wrong")
-    return dict(zip(hubs, dists))
+    return sum(map((1).__lshift__, hubs))
 
 
 def verify_cover(
@@ -260,12 +261,18 @@ def verify_cover(
 
     Exhaustive over all unordered pairs (self-pairs included) by default;
     with `sample` set, checks that many uniformly random pairs instead
-    (ValueError unless it is at least 1, so a pass always checked a pair). A
-    pair is covered when the query answer equals the BFS distance. The
-    stored hub distances of every label checked are validated against the
-    oracle first (LabelingFormatError if one is wrong). Violations are
-    reported sorted by (s, t), truncated to the first
-    MAX_REPORTED_VIOLATIONS.
+    (ValueError unless it is at least 1; a graph with no vertices has no
+    pair to draw and passes with none checked, as exhaustively). A pair is
+    covered when the query answer equals the BFS distance. The stored hub
+    distances of every label checked are validated against the oracle first
+    (LabelingFormatError if one is wrong). Violations are reported sorted by
+    (s, t), truncated to the first MAX_REPORTED_VIOLATIONS.
+
+    Each label checked is kept as one bitset of its hubs, so a pair's common
+    hubs are one AND. Since every stored distance is true, each common hub
+    sums to at least d(s, t) by the triangle inequality, and the query's
+    minimum equals d(s, t) exactly when some common hub reaches it: the
+    common hubs are tried from the highest until one does.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample of {sample} pairs checks nothing; need at least 1")
@@ -277,7 +284,7 @@ def verify_cover(
         raise FingerprintMismatch(f"labeling has {lab.n} vertices, graph has {g.n}")
     oracle = _DistanceOracle(g)
     n = g.n
-    if sample is None:
+    if sample is None or n == 0:
         # t ascends from s = 0, so every label is checked before a second row
         pairs = ((s, t) for s in range(n) for t in range(s, n))
     else:
@@ -290,22 +297,31 @@ def verify_cover(
                 yield (s, t) if s <= t else (t, s)
 
         pairs = sampled()
-    maps: dict = {}  # vertex -> checked {hub: dist}, built on first touch
+    off, hubs, dists = lab.offsets, lab.hubs, lab.dists
+    dist = oracle.dist
+    masks = [None] * n  # vertex -> checked hub bitset, built on first touch
     violations = []
     truncated = False
     checked = 0
     for s, t in pairs:
-        ms = maps.get(s)
+        ms = masks[s]
         if ms is None:
-            ms = maps[s] = _checked_map(lab, oracle, s)
-        mt = maps.get(t)
+            ms = masks[s] = _hub_mask(lab, oracle, s)
+        mt = masks[t]
         if mt is None:
-            mt = maps[t] = _checked_map(lab, oracle, t)
+            mt = masks[t] = _hub_mask(lab, oracle, t)
         checked += 1
-        common = ms.keys() & mt.keys()
-        if common and min(
-            map(add, map(ms.__getitem__, common), map(mt.__getitem__, common))
-        ) == oracle.dist(s, t):
+        common = ms & mt
+        if common:
+            target = dist(s, t)
+            a_s, b_s, a_t, b_t = off[s], off[s + 1], off[t], off[t + 1]
+            while common:
+                h = common.bit_length() - 1
+                if (dists[bisect_left(hubs, h, a_s, b_s)]
+                        + dists[bisect_left(hubs, h, a_t, b_t)] == target):
+                    break
+                common ^= 1 << h
+        if common:  # left nonzero only by a hub on a shortest path
             continue
         if len(violations) < MAX_REPORTED_VIOLATIONS:
             violations.append((s, t))

@@ -372,6 +372,15 @@ def test_ropt_beyond_materialization():
     assert any(line.startswith("max_k psi(k) = ") for line in rep.sandwiches)
 
 
+def test_ropt_builds_its_pairs_once(monkeypatch):
+    calls = []
+    real = B.disjoint_pair_edges
+    monkeypatch.setattr(B, "disjoint_pair_edges", lambda d, k: calls.append(k) or real(d, k))
+    assert B.regular_lp_optimum(9).value == F(59648, 7)
+    assert sorted(calls) == list(range(10))
+    assert B.regular_lp_optimum(10).value == F(66304, 3)
+
+
 def test_ropt_limited_by_pair_edges():
     for d in range(6):
         assert B.ropt_pair_edges(d) == sum(len(B.disjoint_pair_edges(d, k)) for k in range(d + 1))

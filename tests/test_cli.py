@@ -94,6 +94,35 @@ def test_verify_sample_must_be_positive(capsys, tmp_path):
         assert rc == 2 and "cover: OK" not in out and "--sample" in err
 
 
+def test_verify_failing_text_is_pinned(capsys, tmp_path):
+    from hublab.constructions import subset_hhl
+    from hublab.graph import hypercube
+    from hublab.labeling import Labeling, save_labeling
+
+    # hub 0 removed from L(7); the sampled run draws (0, 7) 14 times
+    g = hypercube(3)
+    labels = [list(label) for label in subset_hhl(3, graph=g).labels]
+    labels[7] = [p for p in labels[7] if p[0] != 0]
+    gpath, lpath = str(tmp_path / "h3.g"), str(tmp_path / "broken.hl")
+    run(capsys, "gen", "hypercube", "--d", "3", "--out", gpath)
+    save_labeling(Labeling(labels, fingerprint=g.fingerprint()), lpath)
+    rc, out, err = run(capsys, "verify", "--graph", gpath, "--labels", lpath)
+    assert (rc, out, err) == (1, "cover: FAIL (1 violations)\n  violation: 0 7\nsize: 26\n", "")
+    rc, out, err = run(capsys, "verify", "--graph", gpath, "--labels", lpath,
+                       "--sample", "500", "--seed", "2")
+    assert (rc, err) == (1, "")
+    assert out == "cover: FAIL (14 violations)\n" + "  violation: 0 7\n" * 14 + "size: 26\n"
+
+
+def test_verify_sampled_empty_graph(capsys, tmp_path):
+    gpath, lpath = tmp_path / "empty.g", tmp_path / "empty.hl"
+    gpath.write_text("0 0\n")
+    lpath.write_text("HL 0\n")
+    for extra in ((), ("--sample", "3")):
+        rc, out, err = run(capsys, "verify", "--graph", str(gpath), "--labels", str(lpath), *extra)
+        assert rc == 0 and "cover: OK" in out and err == ""
+
+
 def test_canonical_order_variants(capsys, tmp_path):
     gpath = str(tmp_path / "h2.g")
     run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)

@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hublab.constructions import halfsplit_hl, subset_hhl
 from hublab.graph import Graph, bfs_distances, hypercube, popcount
+from hublab.greedy import greedy_hl
 from hublab.labeling import (
+    MAX_REPORTED_VIOLATIONS,
+    CoverReport,
     FingerprintMismatch,
     Labeling,
     LabelingFormatError,
@@ -16,6 +21,8 @@ from hublab.labeling import (
     total_size,
     verify_cover,
 )
+
+from conftest import random_connected_graph
 
 
 def test_query_same_vertex():
@@ -127,6 +134,122 @@ def test_verify_cover_sampled():
     report = verify_cover(g, lab, sample=5000, seed=3)
     assert report.valid
     assert report.pairs_checked == 5000
+
+
+def test_verify_cover_sampled_empty_graph_is_vacuous():
+    g, lab = Graph(0, []), Labeling([])
+    for sample in (None, 1, 3):
+        assert verify_cover(g, lab, sample=sample, seed=5) == CoverReport(
+            valid=True, violations=[], truncated=False, pairs_checked=0)
+
+
+def verify_by_definition(g: Graph, lab: Labeling, sample=None, seed: int = 0) -> CoverReport:
+    """Reference: the cover check by its definition, on {hub: dist} dicts.
+    The same pairs as `verify_cover` (the same random stream when sampled),
+    every stored distance of a touched label checked against BFS, and a pair
+    covered when the minimum over common hubs of the two stored distances
+    equals the BFS distance."""
+    n = g.n
+    if sample is None or n == 0:
+        pairs = [(s, t) for s in range(n) for t in range(s, n)]
+    else:
+        rng = random.Random(seed)
+        pairs = []
+        for _ in range(sample):
+            s, t = rng.randrange(n), rng.randrange(n)
+            pairs.append((min(s, t), max(s, t)))
+    dist = {v: bfs_distances(g, v) for pair in pairs for v in pair}
+    maps = {v: dict(lab.labels[v]) for v in dist}
+    for v, m in maps.items():
+        if any(dist[v][h] != dd for h, dd in m.items()):
+            raise LabelingFormatError(f"wrong stored distance in label of vertex {v}")
+    violations = []
+    for s, t in pairs:
+        ms, mt = maps[s], maps[t]
+        common = ms.keys() & mt.keys()
+        if not common or min(ms[h] + mt[h] for h in common) != dist[s][t]:
+            violations.append((s, t))
+    return CoverReport(
+        valid=not violations,
+        violations=sorted(violations[:MAX_REPORTED_VIOLATIONS]),
+        truncated=len(violations) > MAX_REPORTED_VIOLATIONS,
+        pairs_checked=len(pairs),
+    )
+
+
+def assert_verify_matches_definition(g, lab, seed):
+    assert verify_cover(g, lab) == verify_by_definition(g, lab)
+    for sample in (1, 37, 500):
+        assert (verify_cover(g, lab, sample=sample, seed=seed)
+                == verify_by_definition(g, lab, sample=sample, seed=seed))
+
+
+def test_verify_cover_keeps_the_first_violations_in_pair_order():
+    # truncation keeps the first violations checked, then sorts them
+    g = hypercube(3)
+    lab = Labeling([[(v, 0)] for v in range(8)], fingerprint=g.fingerprint())
+    assert_verify_matches_definition(g, lab, seed=4)
+    assert verify_cover(g, lab, sample=500, seed=4).truncated
+
+
+@st.composite
+def labelings_with_deleted_hubs(draw):
+    """(graph, labeling, seed): a greedy labeling of a small random connected
+    graph or a subset/half-split labeling of Q2-Q5, with random entries gone."""
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        g = random_connected_graph(n, draw(st.integers(0, 2 * n)), seed)
+        lab = greedy_hl(g)
+    else:
+        d = draw(st.integers(2, 5))
+        g = hypercube(d)
+        lab = draw(st.sampled_from([subset_hhl, halfsplit_hl]))(d, graph=g)
+    p = draw(st.sampled_from([0, 0.02, 0.1, 0.4]))
+    rng = random.Random(seed)
+    labels = [[e for e in label if rng.random() >= p] for label in lab.labels]
+    return g, Labeling(labels, fingerprint=g.fingerprint()), seed
+
+
+@given(labelings_with_deleted_hubs())
+@settings(max_examples=60, deadline=None)
+def test_verify_cover_matches_definition(case):
+    g, lab, seed = case
+    assert_verify_matches_definition(g, lab, seed)
+
+
+def hamming_labeling(d, hub_sets):
+    g = hypercube(d)
+    lab = Labeling([[(h, popcount(v ^ h)) for h in hs] for v, hs in enumerate(hub_sets)],
+                   fingerprint=g.fingerprint())
+    return g, lab
+
+
+def test_verify_cover_passes_when_only_a_lower_common_hub_is_on_path():
+    # the highest common hub of (0, 1) and of (0, 0) is 3, off every
+    # shortest path; hub 0 below it is on one
+    g, lab = hamming_labeling(2, [{0, 3}, {0, 1, 3}, {0, 2, 3}, {3}])
+    assert query(lab, 0, 1) == 1 and 3 in dict(lab.labels[0])
+    report = verify_cover(g, lab)
+    assert report.valid and report.pairs_checked == 10
+    assert_verify_matches_definition(g, lab, seed=1)
+
+
+def test_verify_cover_fails_when_no_common_hub_is_on_path():
+    # (0, 1) share hubs 2 and 3, each 3 steps round, but are 1 apart
+    g, lab = hamming_labeling(2, [{0, 2, 3}, {1, 2, 3}, {2}, {2, 3}])
+    assert query(lab, 0, 1) == 3
+    report = verify_cover(g, lab)
+    assert not report.valid and (0, 1) in report.violations
+    assert_verify_matches_definition(g, lab, seed=1)
+
+
+def test_verify_cover_all_hubs_labeling_q4():
+    # L(v) = V: every pair tries hubs from the highest down to one on a path
+    g, lab = hamming_labeling(4, [range(16)] * 16)
+    report = verify_cover(g, lab)
+    assert report.valid and report.pairs_checked == 16 * 17 // 2
+    assert_verify_matches_definition(g, lab, seed=2)
 
 
 def test_total_size_examples():
