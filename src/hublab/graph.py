@@ -225,9 +225,14 @@ def serialize_graph(g: Graph) -> str:
 def parse_graph(text: str) -> Graph:
     """Graph from its text; malformed text raises GraphFormatError, a
     header with more than MAX_GRAPH_N vertices BudgetError."""
+    return _parse_graph_lines(text.splitlines())
+
+
+def _parse_graph_lines(lines) -> Graph:
+    """Graph from the lines of its text, numbered from 1, as `parse_graph`."""
     hypercube_d = n = m = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -272,5 +277,7 @@ def _parse_int(field: str, lineno: int, what: str) -> int:
 
 
 def load_graph(path: str) -> Graph:
+    """Read the graph in `path` one line at a time. Only a newline, a
+    carriage return or the two together end a line of a file."""
     with open(path) as f:
-        return parse_graph(f.read())
+        return _parse_graph_lines(f)

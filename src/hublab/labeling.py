@@ -265,14 +265,19 @@ def verify_cover(
     pair to draw and passes with none checked, as exhaustively). A pair is
     covered when the query answer equals the BFS distance. The stored hub
     distances of every label checked are validated against the oracle first
-    (LabelingFormatError if one is wrong). Violations are reported sorted by
-    (s, t), truncated to the first MAX_REPORTED_VIOLATIONS.
+    (LabelingFormatError if one is wrong). Each violating pair is reported
+    once, however often it is drawn; the violations are sorted by (s, t)
+    and truncated to the first MAX_REPORTED_VIOLATIONS distinct ones.
+    `pairs_checked` counts the pairs checked, repeats included.
 
     Each label checked is kept as one bitset of its hubs, so a pair's common
     hubs are one AND. Since every stored distance is true, each common hub
     sums to at least d(s, t) by the triangle inequality, and the query's
     minimum equals d(s, t) exactly when some common hub reaches it: the
-    common hubs are tried from the highest until one does.
+    common hubs are tried from the highest until one does. On a hypercube
+    hub h reaches it exactly when h lies in the subcube s and t span, i.e.
+    when s ^ h and t ^ h share no bit; other graphs compare the two stored
+    distances, found by bisecting the labels, with the oracle's d(s, t).
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample of {sample} pairs checks nothing; need at least 1")
@@ -288,15 +293,8 @@ def verify_cover(
         # t ascends from s = 0, so every label is checked before a second row
         pairs = ((s, t) for s in range(n) for t in range(s, n))
     else:
-        rng = random.Random(seed)
-
-        def sampled():
-            for _ in range(sample):
-                s = rng.randrange(n)
-                t = rng.randrange(n)
-                yield (s, t) if s <= t else (t, s)
-
-        pairs = sampled()
+        pairs = _sampled_pairs(n, sample, seed)
+    cube = g.is_hypercube is not None
     off, hubs, dists = lab.offsets, lab.hubs, lab.dists
     dist = oracle.dist
     masks = [None] * n  # vertex -> checked hub bitset, built on first touch
@@ -312,7 +310,13 @@ def verify_cover(
             mt = masks[t] = _hub_mask(lab, oracle, t)
         checked += 1
         common = ms & mt
-        if common:
+        if cube:
+            while common:
+                h = common.bit_length() - 1
+                if not (s ^ h) & (t ^ h):
+                    break
+                common ^= 1 << h
+        elif common:
             target = dist(s, t)
             a_s, b_s, a_t, b_t = off[s], off[s + 1], off[t], off[t + 1]
             while common:
@@ -322,6 +326,8 @@ def verify_cover(
                     break
                 common ^= 1 << h
         if common:  # left nonzero only by a hub on a shortest path
+            continue
+        if (s, t) in violations:  # a repeat draw of a reported pair
             continue
         if len(violations) < MAX_REPORTED_VIOLATIONS:
             violations.append((s, t))
@@ -334,6 +340,22 @@ def verify_cover(
         truncated=truncated,
         pairs_checked=checked,
     )
+
+
+def _sampled_pairs(n: int, sample: int, seed: int):
+    """`sample` pairs (s, t), s <= t, each end drawn as
+    `random.Random(seed).randrange(n)` draws it (n >= 1): k = n.bit_length()
+    random bits, drawn again while the value is n or more."""
+    bits = random.Random(seed).getrandbits
+    k = n.bit_length()
+    for _ in range(sample):
+        s = bits(k)
+        while s >= n:
+            s = bits(k)
+        t = bits(k)
+        while t >= n:
+            t = bits(k)
+        yield (s, t) if s <= t else (t, s)
 
 
 def is_hierarchical(lab: Labeling) -> HierarchyReport:
@@ -387,29 +409,35 @@ def is_hierarchical(lab: Labeling) -> HierarchyReport:
 
 # --- text format: `HL n`, fingerprint comment, then `v k hub dist ...` ---
 
-def serialize_labeling(lab: Labeling) -> str:
-    lines = [f"HL {lab.n}"]
+def _label_lines(lab: Labeling):
+    """The lines of the labeling's text, each ending in a newline."""
+    yield f"HL {lab.n}\n"
     if lab.fingerprint is not None:
         n, m, h = lab.fingerprint
-        lines.append(f"# graph {n} {m} {h}")
+        yield f"# graph {n} {m} {h}\n"
     off = lab.offsets
-    # hub, dist, hub, dist, ... of all labels in one array
-    flat = array("i", bytes(8 * len(lab.hubs)))
+    # hub, dist, hub, dist, ... of all labels in one array (the repeat only
+    # sizes it, with no zero-filled buffer to copy from)
+    flat = lab.hubs * 2
     flat[0::2] = lab.hubs
     flat[1::2] = lab.dists
     text = {x: str(x) for x in set(flat)}.__getitem__  # each distinct value once
     for v in range(lab.n):
         a, b = off[v], off[v + 1]
         if a == b:
-            lines.append(f"{v} 0")
+            yield f"{v} 0\n"
         else:
-            lines.append(f"{v} {b - a} " + " ".join(map(text, flat[2 * a:2 * b])))
-    return "\n".join(lines) + "\n"
+            yield f"{v} {b - a} {' '.join(map(text, flat[2 * a:2 * b]))}\n"
+
+
+def serialize_labeling(lab: Labeling) -> str:
+    return "".join(_label_lines(lab))
 
 
 def save_labeling(lab: Labeling, path: str) -> None:
+    """Write the labeling's text to `path` one line at a time."""
     with open(path, "w") as f:
-        f.write(serialize_labeling(lab))
+        f.writelines(_label_lines(lab))
 
 
 def _header_int(token: str, lineno: int) -> int:
@@ -420,12 +448,18 @@ def _header_int(token: str, lineno: int) -> int:
 
 
 def parse_labeling(text: str) -> Labeling:
+    return _parse_lines(text.splitlines())
+
+
+def _parse_lines(lines) -> Labeling:
+    """Labeling from the lines of its text, numbered from 1; blank lines and
+    `#` comments other than the fingerprint are skipped."""
     fingerprint = None
     n = None
     hubs, dists = array("i"), array("i")
     ends = array("q")  # end of each label line's range, in file order
     line_of: dict = {}  # vertex -> index of its label line in file order
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -456,8 +490,8 @@ def parse_labeling(text: str) -> Labeling:
         if v in line_of:
             raise LabelingFormatError(f"line {lineno}: duplicate vertex {v}")
         try:
-            hubs.extend(vals[2::2])
-            dists.extend(vals[3::2])
+            hubs.fromlist(vals[2::2])
+            dists.fromlist(vals[3::2])
         except OverflowError:
             raise LabelingFormatError(f"line {lineno}: hub or distance outside 32 bits") from None
         line_of[v] = len(ends)
@@ -484,5 +518,9 @@ def parse_labeling(text: str) -> Labeling:
 
 
 def load_labeling(path: str) -> Labeling:
+    """Read the labeling in `path` one line at a time. Only a newline, a
+    carriage return or the two together end a line of a file; the
+    `str.splitlines` of `parse_labeling` also ends one at a form feed, a
+    vertical tab and the other Unicode line boundaries."""
     with open(path) as f:
-        return parse_labeling(f.read())
+        return _parse_lines(f)

@@ -24,6 +24,14 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def with_extra_lines(text, rnd):
+    """text with blank and comment lines inserted and one line ending throughout."""
+    lines = text.splitlines()
+    for _ in range(rnd.randrange(4)):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "  ", "# note", "#"]))
+    return rnd.choice(["\n", "\r\n", "\r"]).join(lines) + rnd.choice(["\n", "\r\n", ""])
+
+
 @pytest.fixture
 def path3() -> Graph:
     return Graph(3, [(0, 1), (1, 2)])

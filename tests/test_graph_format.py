@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hublab.graph import (
@@ -11,9 +11,12 @@ from hublab.graph import (
     Graph,
     GraphFormatError,
     hypercube,
+    load_graph,
     parse_graph,
     serialize_graph,
 )
+
+from conftest import with_extra_lines
 
 
 @st.composite
@@ -149,3 +152,41 @@ def test_arbitrary_text_parses_or_raises_format_error(text):
     except GraphFormatError:
         return
     assert_same(parse_graph(serialize_graph(g)), g)
+
+
+# --- files: read one line at a time by the parser of the text ---
+
+FILE_TEST = settings(max_examples=50, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def outcome(read, source):
+    """The graph read from source as comparable fields, or the error's type and message."""
+    try:
+        g = read(source)
+    except (GraphFormatError, BudgetError) as e:
+        return type(e), str(e)
+    return g.n, g.edges, g.is_hypercube, g.fingerprint()
+
+
+def assert_file_reads_as_text(text, path):
+    with open(path, "w", newline="") as f:  # keep the text's own line endings
+        f.write(text)
+    assert outcome(load_graph, path) == outcome(parse_graph, text)
+
+
+@FILE_TEST
+@given(simple_graphs() | st.integers(0, 5).map(hypercube),
+       st.sampled_from((None,) + KINDS), st.randoms(use_true_random=False))
+def test_load_equals_parse(tmp_path, g, kind, rnd):
+    text = serialize_graph(g) if kind is None else corrupt(g, kind, rnd)
+    if text is None:
+        return
+    assert_file_reads_as_text(with_extra_lines(text, rnd), tmp_path / "g.txt")
+
+
+@FILE_TEST
+@given(TEXTS)
+def test_load_of_arbitrary_file_equals_parse(tmp_path, text):
+    assert_file_reads_as_text(text, tmp_path / "any.txt")
+    assert_file_reads_as_text(text.replace("\n", "\r\n"), tmp_path / "any.txt")

@@ -1,16 +1,22 @@
 """Property tests for the label text format: round trips and typed rejections."""
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hublab.constructions import halfsplit_hl
 from hublab.labeling import (
     Labeling,
     LabelingFormatError,
+    load_labeling,
     parse_labeling,
+    save_labeling,
     serialize_labeling,
 )
+
+from conftest import with_extra_lines
 
 
 @st.composite
@@ -120,3 +126,84 @@ def test_corruptions_cover_every_kind():
         assert text is not None and text != serialize_labeling(lab)
         with pytest.raises(LabelingFormatError):
             parse_labeling(text)
+
+
+# --- files: written and read one line at a time, as the text is ---
+
+FILE_TEST = settings(max_examples=50, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def outcome(read, source):
+    """(labeling, fingerprint) read from source, or the format error's message."""
+    try:
+        lab = read(source)
+    except LabelingFormatError as e:
+        return str(e)
+    return lab, lab.fingerprint
+
+
+def assert_file_reads_as_text(text, path):
+    with open(path, "w", newline="") as f:  # keep the text's own line endings
+        f.write(text)
+    assert outcome(load_labeling, path) == outcome(parse_labeling, text)
+
+
+@FILE_TEST
+@given(labelings(), st.randoms(use_true_random=False))
+def test_file_roundtrip_equals_text(tmp_path, lab, rnd):
+    path = tmp_path / "lab.hl"
+    save_labeling(lab, path)
+    assert path.read_bytes() == serialize_labeling(lab).encode()
+    assert outcome(load_labeling, path) == (lab, lab.fingerprint)
+    head, body = split_text(lab)
+    rnd.shuffle(body)
+    assert_file_reads_as_text(with_extra_lines("\n".join(head + body), rnd), path)
+
+
+@FILE_TEST
+@given(labelings(min_n=1), st.sampled_from(KINDS), st.randoms(use_true_random=False))
+def test_load_of_malformed_file_equals_parse(tmp_path, lab, kind, rnd):
+    text = corrupt(lab, kind, rnd)
+    if text is None:
+        return
+    assert_file_reads_as_text(with_extra_lines(text, rnd), tmp_path / "bad.hl")
+
+
+@FILE_TEST
+@given(st.text("HLgraph#-0123456789 \n\r", max_size=80))
+def test_load_of_arbitrary_file_equals_parse(tmp_path, body):
+    for text in (body, "HL 3\n" + body):
+        assert_file_reads_as_text(text, tmp_path / "any.hl")
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newlines_end_a_file_line(tmp_path, sep):
+    # str.splitlines ends a line at sep, a file line runs on through it
+    # (str.split still takes sep as a blank between fields)
+    text = f"HL 2\n0 1 0 0{sep}1 1 1 0\n"
+    assert parse_labeling(text) == Labeling([[(0, 0)], [(1, 0)]])
+    path = tmp_path / "sep.hl"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(LabelingFormatError, match="^line 2: declared 1 hubs, found 3$"):
+        load_labeling(path)
+
+
+def test_save_and_load_stay_near_the_store_size(tmp_path):
+    # neither holds the whole text in memory: peak traced allocations of
+    # each stay below 2.5x the store's own bytes
+    lab = halfsplit_hl(10)
+    store = sum(a.itemsize * len(a) for a in (lab.offsets, lab.hubs, lab.dists))
+    path = tmp_path / "h10.hl"
+    tracemalloc.start()
+    try:
+        save_labeling(lab, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        again = load_labeling(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert again == lab
+    assert save_peak < 2.5 * store and load_peak < 2.5 * store, (save_peak, load_peak, store)

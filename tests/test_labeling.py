@@ -20,6 +20,7 @@ from hublab.labeling import (
     serialize_labeling,
     total_size,
     verify_cover,
+    _sampled_pairs,
 )
 
 from conftest import random_connected_graph
@@ -148,7 +149,7 @@ def verify_by_definition(g: Graph, lab: Labeling, sample=None, seed: int = 0) ->
     The same pairs as `verify_cover` (the same random stream when sampled),
     every stored distance of a touched label checked against BFS, and a pair
     covered when the minimum over common hubs of the two stored distances
-    equals the BFS distance."""
+    equals the BFS distance. A pair drawn more than once is one violation."""
     n = g.n
     if sample is None or n == 0:
         pairs = [(s, t) for s in range(n) for t in range(s, n)]
@@ -169,6 +170,7 @@ def verify_by_definition(g: Graph, lab: Labeling, sample=None, seed: int = 0) ->
         common = ms.keys() & mt.keys()
         if not common or min(ms[h] + mt[h] for h in common) != dist[s][t]:
             violations.append((s, t))
+    violations = list(dict.fromkeys(violations))
     return CoverReport(
         valid=not violations,
         violations=sorted(violations[:MAX_REPORTED_VIOLATIONS]),
@@ -250,6 +252,38 @@ def test_verify_cover_all_hubs_labeling_q4():
     report = verify_cover(g, lab)
     assert report.valid and report.pairs_checked == 16 * 17 // 2
     assert_verify_matches_definition(g, lab, seed=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096])
+def test_sampled_pairs_are_the_randrange_stream(n):
+    # a given seed checks the pairs that two randrange(n) calls per pair draw
+    for seed in (0, 1, 7, 12345):
+        rng = random.Random(seed)
+        expect = []
+        for _ in range(300):
+            s, t = rng.randrange(n), rng.randrange(n)
+            expect.append((min(s, t), max(s, t)))
+        assert list(_sampled_pairs(n, 300, seed)) == expect
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_verify_cover_hypercube_test_equals_distance_test(d):
+    # the same labelings on Q_d and on Q_d's edges without the hypercube
+    # flag: the subcube test and the distance test agree on every report
+    cube = hypercube(d)
+    plain = Graph(cube.n, cube.edges)
+    assert plain.is_hypercube is None and plain.fingerprint() == cube.fingerprint()
+    rng = random.Random(d)
+    all_hubs = hamming_labeling(d, [range(cube.n)] * cube.n)[1]
+    for full in (subset_hhl(d), halfsplit_hl(d), all_hubs):
+        for p in (0, 0.05, 0.3):
+            labels = [[e for e in label if rng.random() >= p] for label in full.labels]
+            lab = Labeling(labels, fingerprint=cube.fingerprint())
+            for sample in (None, 1, 50, 400):
+                seed = rng.randrange(100)
+                got = verify_cover(cube, lab, sample=sample, seed=seed)
+                assert got == verify_cover(plain, lab, sample=sample, seed=seed)
+                assert got.pairs_checked == (sample or cube.n * (cube.n + 1) // 2)
 
 
 def test_total_size_examples():
