@@ -7,19 +7,23 @@ max-density problem is solved by peeling: repeatedly drop the vertex with
 the fewest incident uncovered pairs and keep the densest intermediate
 subgraph (a 2-approximation).
 
-Center re-evaluation is lazy: a center's best achievable density can only
-decrease as pairs get covered, so cached densities are valid upper bounds
-and a priority queue with stale entries selects the same center as a full
-scan would. Tie-breaks (highest density, then lowest center id, then the
-peeling order below) make the construction deterministic.
+Center re-evaluation is lazy: each center is evaluated once, then each
+round pops the highest cached density and re-evaluates (and pushes back)
+any center last evaluated before the previous round's covering, until the
+top entry is current. The peeling value is not monotone as pairs get
+covered (a center may come back denser), so the lazy selection can differ
+from a full scan of all centers; the lazy schedule is the specified one.
+Tie-breaks (highest density, then lowest center id, then the peeling order
+below) make the construction deterministic.
 """
 from __future__ import annotations
 
-import heapq
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from heapq import heappop, heappush
+from itertools import compress
+from operator import add, and_
 
 from .graph import Graph, bfs_distances
 from .labeling import Labeling, _from_hub_lists
@@ -43,6 +47,7 @@ class GreedyStep:
 class GreedyRun:
     labeling: Labeling
     steps: list
+    evaluations: int = 0  # center evaluations, those finding no pair included
 
 
 def coverage_progress(run: GreedyRun) -> list[tuple[int, int, int]]:
@@ -62,139 +67,141 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
     if not g.is_connected():
         raise ValueError("greedy labeling requires a connected graph")
     dist = [bfs_distances(g, s) for s in range(n)]
+    layers = []  # layers[x][k]: bitset of the vertices j with dist[x][j] == k
+    for row in dist:
+        lx = [0] * (max(row) + 1)
+        for j, k in enumerate(row):
+            lx[k] |= 1 << j
+        layers.append(lx)
 
     # pair ids: p = i * n + j for i <= j; self-pairs included (covered only
-    # by their own vertex as center)
-    def pid(i, j):
-        return i * n + j
-
-    uncovered = set()
-    for i in range(n):
-        for j in range(i, n):
-            uncovered.add(pid(i, j))
-    # per-center ids of coverable pairs, pruned as pairs get covered; held as
-    # machine integers, since there can be up to about n^3 / 2 of them
+    # by their own vertex as center); uncovered[p] flags the pairs left
+    uncovered = bytearray([1]) * (n * n)
+    left = n * (n + 1) // 2
+    # per-center ids of coverable pairs, ascending, pruned as pairs get
+    # covered; held as machine integers, since there can be up to about
+    # n^3 / 2 of them. v covers (i, j) iff dist[v][i] + dist[v][j] ==
+    # dist[i][j]: j is at some distance k from v and k + dist[v][i] from i.
     typecode = "i" if n * n < 1 << 31 else "q"
     coverable = []
     for v in range(n):
-        dv = dist[v]
+        dv, lv = dist[v], layers[v]
         ids = array(typecode)
         for i in range(n):
-            dvi = dv[i]
-            di = dist[i]
-            for j in range(i, n):
-                if dvi + dv[j] == di[j]:
-                    ids.append(pid(i, j))
+            mask = 0
+            for lvk, lik in zip(lv, layers[i][dv[i]:]):
+                mask |= lvk & lik
+            mask = mask >> i << i  # j >= i
+            base = i * n - 1
+            while mask:
+                low = mask & -mask
+                ids.append(base + low.bit_length())
+                mask ^= low
         coverable.append(ids)
 
     labels: list[set] = [set() for _ in range(n)]
     size = 0
     steps: list[GreedyStep] = []
+    evaluations = 0
 
     def evaluate(v):
-        """Best (density, group, covered pair ids) for center v via peeling."""
-        ids = array(typecode, [p for p in coverable[v] if p in uncovered])
-        coverable[v] = ids
+        """Best (density, group) for center v via peeling."""
+        nonlocal evaluations
+        evaluations += 1
+        ids = coverable[v]
+        ids = coverable[v] = array(typecode, compress(ids, map(uncovered.__getitem__, ids)))
         if not ids:
             return None
-        inc: dict = {}  # vertex -> ids of its incident pairs
-        for p in ids:
-            i, j = divmod(p, n)
-            inc.setdefault(i, []).append(p)
+        inc = [[] for _ in range(n)]  # vertex -> other ends of its pairs
+        for i, j in zip(map(n.__rfloordiv__, ids), map(n.__rmod__, ids)):
+            inc[i].append(j)
             if j != i:
-                inc.setdefault(j, []).append(p)
-        deg = {u: len(ps) for u, ps in inc.items()}
-        heap = sorted((du, u) for u, du in deg.items())
-        alive = set(deg)
-        dead = set()  # ids of pairs with a removed endpoint
-        m = len(ids)
+                inc[j].append(i)
+        deg = list(map(len, inc))
+        # key[u] = deg(u) * n + u orders the vertices as (deg, u) does; a heap
+        # entry is current iff it equals key[u], which is -1 once u is removed
+        key = list(map(add, map(n.__mul__, deg), range(n)))
+        heap = sorted(compress(key, deg))
+        m, k = len(ids), len(heap)
         # Densest prefix of the peeling, as (pairs, vertices, removals before
         # it). Each removal leaves one vertex fewer, so (-density, size)
         # orders the prefixes strictly: on equal density the later one wins.
-        best_m, best_k, cut = m, len(alive), 0
+        best_m, best_k, cut = m, k, 0
         removal_seq = []
         while True:
             while True:
-                du, u = heapq.heappop(heap)
-                if u in alive and deg[u] == du:
+                ku = heappop(heap)
+                u = ku % n
+                if key[u] == ku:
                     break
-            alive.discard(u)
+            key[u] = -1
+            m -= ku // n  # deg(u): its pairs with live ends, and its self-pair
             removal_seq.append(u)
-            for p in inc[u]:
-                if p not in dead:
-                    dead.add(p)
-                    m -= 1
-                    i, j = divmod(p, n)
-                    w = j if i == u else i
-                    if w != u:
-                        deg[w] -= 1
-                        heapq.heappush(heap, (deg[w], w))
-            if not alive:
+            for w in inc[u]:
+                kw = key[w]
+                if kw >= 0:
+                    key[w] = kw = kw - n
+                    heappush(heap, kw)
+            k -= 1
+            if not k:
                 break
-            if m * best_k >= best_m * len(alive):
-                best_m, best_k, cut = m, len(alive), len(removal_seq)
-        removed = set(removal_seq[:cut])
-        members = tuple(sorted(u for u in deg if u not in removed))
-        covered = array(typecode, [
-            p for p in ids if p // n not in removed and p % n not in removed
-        ])
-        return Fraction(best_m, best_k), members, covered
+            if m * best_k >= best_m * k:
+                best_m, best_k, cut = m, k, len(removal_seq)
+        # the peeling removes every vertex: the group is what the cut left
+        return Fraction(best_m, best_k), tuple(sorted(removal_seq[cut:]))
 
-    # lazy-greedy selection: cached densities are upper bounds
+    # lazy-greedy selection (see the module docstring)
     heap = []
     for v in range(n):
         res = evaluate(v)
         if res is not None:
-            heapq.heappush(heap, (-res[0], v, res))
+            heappush(heap, (-res[0], v, res))
     iteration = 0
     epoch = 0
-    fresh = {v: epoch for v in range(n)}
-    while uncovered:
+    fresh = [epoch] * n
+    while left:
         entry = None
         while heap:
-            negd, v, res = heapq.heappop(heap)
+            negd, v, res = heappop(heap)
             if fresh[v] == epoch:
                 entry = (v, res)
                 break
             res = evaluate(v)
             fresh[v] = epoch
             if res is not None:
-                heapq.heappush(heap, (-res[0], v, res))
+                heappush(heap, (-res[0], v, res))
         if entry is None:
-            raise GreedyError(
-                f"{len(uncovered)} pairs remain uncovered, but no center covers any"
-            )
-        v, (dens, group, covered) = entry
-        newly = 0
-        for key in covered:
-            if key in uncovered:
-                uncovered.discard(key)
-                newly += 1
+            raise GreedyError(f"{left} pairs remain uncovered, but no center covers any")
+        v, (dens, group) = entry
+        inside = bytearray(n)
         for u in group:
+            inside[u] = 1
             if v not in labels[u]:
                 labels[u].add(v)
                 size += 1
+        # v's pairs within the group; v was evaluated after the last round's
+        # covering, so all of its pairs are uncovered
+        ids = coverable[v]
+        first, second = map(n.__rfloordiv__, ids), map(n.__rmod__, ids)
+        within = map(and_, map(inside.__getitem__, first), map(inside.__getitem__, second))
+        newly = 0
+        for p in compress(ids, within):
+            uncovered[p] = 0
+            newly += 1
+        left -= newly
         epoch += 1
         res = evaluate(v)  # the used center may be picked again later
         fresh[v] = epoch
         if res is not None:
-            heapq.heappush(heap, (-res[0], v, res))
+            heappush(heap, (-res[0], v, res))
         iteration += 1
-        steps.append(
-            GreedyStep(
-                iteration=iteration,
-                center=v,
-                group=group,
-                covered=newly,
-                uncovered_after=len(uncovered),
-                size_after=size,
-            )
-        )
+        steps.append(GreedyStep(iteration=iteration, center=v, group=group, covered=newly,
+                                uncovered_after=left, size_after=size))
         if log is not None:
             print(
                 f"iter {iteration}: center {v} group of {len(group)} "
-                f"density {dens} covered {newly} uncovered {len(uncovered)} size {size}",
+                f"density {dens} covered {newly} uncovered {left} size {size}",
                 file=log,
             )
     final = _from_hub_lists([sorted(hs) for hs in labels], dist, g.fingerprint())
-    return GreedyRun(labeling=final, steps=steps)
+    return GreedyRun(labeling=final, steps=steps, evaluations=evaluations)

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from operator import ge, ne
+from operator import ge, lt, ne
 from typing import Optional
 
 from .graph import Graph, bfs_distances, popcount
@@ -489,11 +489,21 @@ def _parse_lines(lines) -> Labeling:
             raise LabelingFormatError(f"line {lineno}: vertex {v} out of range")
         if v in line_of:
             raise LabelingFormatError(f"line {lineno}: duplicate vertex {v}")
+        hs, ds = vals[2::2], vals[3::2]
         try:
-            hubs.fromlist(vals[2::2])
-            dists.fromlist(vals[3::2])
+            hubs.fromlist(hs)
+            dists.fromlist(ds)
         except OverflowError:
             raise LabelingFormatError(f"line {lineno}: hub or distance outside 32 bits") from None
+        # the label invariants of `_validate`, checked line by line
+        if hs:
+            if min(hs) < 0 or max(hs) >= n:
+                raise LabelingFormatError(f"hub out of range [0, {n}) in label of vertex {v}")
+            if min(ds) < 0:
+                raise LabelingFormatError(f"negative distance in label of vertex {v}")
+            if not all(map(lt, hs, islice(hs, 1, None))):
+                raise LabelingFormatError(
+                    f"hubs must be distinct and ascending in label of vertex {v}")
         line_of[v] = len(ends)
         ends.append(len(hubs))
     if n is None:
@@ -512,9 +522,7 @@ def _parse_lines(lines) -> Labeling:
             hubs.extend(file_hubs[a:b])
             dists.extend(file_dists[a:b])
             offsets.append(len(hubs))
-    lab = Labeling._from_arrays(offsets, hubs, dists, fingerprint)
-    _validate(lab)
-    return lab
+    return Labeling._from_arrays(offsets, hubs, dists, fingerprint)
 
 
 def load_labeling(path: str) -> Labeling:

@@ -215,6 +215,20 @@ def test_canonical_random_order_file_is_pinned(capsys, tmp_path):
     )
 
 
+def test_greedy_file_and_log_are_pinned(capsys, tmp_path):
+    # the bytes the set-based greedy wrote for Q5, and its per-round log
+    gpath, lpath = str(tmp_path / "h5.g"), tmp_path / "g5.hl"
+    run(capsys, "gen", "hypercube", "--d", "5", "--out", gpath)
+    rc, out, err = run(capsys, "build", "--scheme", "greedy", "--graph", gpath, "--out", str(lpath))
+    assert rc == 0 and "size 228" in out
+    assert hashlib.sha256(lpath.read_bytes()).hexdigest() == (
+        "d090fd3d74d9d73e337725f6e9747a1734f9635f2d315e6752cffb2262b8ea92"
+    )
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "3d1e6744e5a42859212e664075dff40a08fe254166a93c8470d64cd448287fb3"
+    )
+
+
 def test_greedy_stuck_is_domain_error(capsys, tmp_path, monkeypatch):
     # a BFS that puts every vertex at distance 1 from itself leaves the
     # self-pairs without a covering center, which greedy must report
