@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Optional
 
-from .graph import Graph, bfs_distances, popcount
+from .graph import Graph, PathSystem, hypercube, popcount
 from .lp import GEQ, LEQ, LPSolution, RationalLP, solve
 
 MAX_REGULAR_D = 4
@@ -254,11 +254,6 @@ def brute_densest_subgraph(d: int, k: int) -> Fraction:
 
 # --- LP builders for the covering primal, packing dual, and regular LP ---
 
-def _on_path(v: int, i: int, j: int) -> bool:
-    # v lies on a shortest i-j path in the hypercube
-    return (v ^ i) & (v ^ j) == 0
-
-
 def _packing_rows(n: int, covered: list, num_vars: int) -> list:
     """Rows over vertex sets S of an n-vertex graph, one coefficient per
     variable: for each center's list of (i, j, variable) pairs, the row of S
@@ -485,8 +480,9 @@ def build_dual_lp(d: int) -> RationalLP:
         raise ValueError(f"dual LP materialization capped at d <= {MAX_DUAL_D}")
     n = 1 << d
     pairs = _all_pairs(n)
+    on_path = PathSystem(hypercube(d)).on_path
     covered = [
-        [(i, j, idx) for idx, (i, j) in enumerate(pairs) if _on_path(v, i, j)] for v in range(n)
+        [(i, j, idx) for idx, (i, j) in enumerate(pairs) if on_path(v, i, j)] for v in range(n)
     ]
     return RationalLP(
         sense="max",
@@ -503,23 +499,22 @@ def build_primal_lp(d: int) -> RationalLP:
     x[v,S] >= 1; minimize sum |S|*x[v,S]."""
     if not 0 <= d <= MAX_PRIMAL_D:
         raise ValueError(f"primal LP materialization capped at d <= {MAX_PRIMAL_D}")
-    return _primal_lp_generic(1 << d, _on_path, name=f"primal-lp-d{d}")
+    return _primal_lp_generic(hypercube(d), name=f"primal-lp-d{d}")
 
 
 def build_primal_lp_graph(g: Graph) -> RationalLP:
-    """Covering LP for an arbitrary tiny graph (n <= 4), with the on-path
-    test taken from BFS distances."""
+    """Covering LP for an arbitrary tiny connected graph (n <= 4); a
+    disconnected graph has pairs no hub covers and is refused."""
     if g.n > 4:
         raise ValueError("general-graph primal LP capped at n <= 4")
-    dist = [bfs_distances(g, s) for s in range(g.n)]
-
-    def on_path(v, i, j):
-        return dist[i][v] + dist[v][j] == dist[i][j]
-
-    return _primal_lp_generic(g.n, on_path, name=f"primal-lp-n{g.n}")
+    if not g.is_connected():
+        raise ValueError("cover is impossible for a disconnected graph")
+    return _primal_lp_generic(g, name=f"primal-lp-n{g.n}")
 
 
-def _primal_lp_generic(n, on_path, name) -> RationalLP:
+def _primal_lp_generic(g: Graph, name) -> RationalLP:
+    n = g.n
+    on_path = PathSystem(g).on_path
     pairs = _all_pairs(n)
     variables = []  # (v, S)
     for v in range(n):
@@ -591,7 +586,6 @@ def bound_report(d: int, with_lp: bool = False, with_oracle: bool = False) -> Bo
             lopt = solve(build_dual_lp(d)).value
             sandwiches.append(f"LOPT = {lopt} (path-packing dual optimum)")
     if with_oracle and d <= 2:
-        from .graph import hypercube
         from .oracle import brute_optimal_hl
 
         opt = brute_optimal_hl(hypercube(d)).size

@@ -31,7 +31,7 @@ class Graph:
 
     Immutable after construction. `is_hypercube` is set to the dimension d
     when the graph is a d-dimensional hypercube with the standard bit-flip
-    vertex ids; distance queries then avoid BFS (Hamming distance).
+    vertex ids; its `PathSystem` then uses Hamming distance, not BFS.
     """
 
     __slots__ = ("n", "edges", "adj", "is_hypercube", "_fingerprint")
@@ -144,6 +144,45 @@ def bfs_distances(g: Graph, source: int) -> list:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+class PathSystem:
+    """Distances and shortest-path membership in one graph.
+
+    On a hypercube both come from Hamming arithmetic on vertex ids. On any
+    other graph they come from one BFS row per source, built the first time
+    that source is asked about and kept.
+    """
+
+    __slots__ = ("g", "_cube", "_rows")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self._cube = g.is_hypercube is not None
+        self._rows: dict = {}
+
+    def row(self, s: int) -> list:
+        """Distances from s to every vertex; INFINITY where unreachable."""
+        if self._cube:
+            return [(s ^ v).bit_count() for v in range(self.g.n)]
+        row = self._rows.get(s)
+        if row is None:
+            row = self._rows[s] = bfs_distances(self.g, s)
+        return row
+
+    def dists(self, s: int, vertices) -> Iterator:
+        """The distances from s to `vertices`, in their order."""
+        if self._cube:
+            return map(int.bit_count, map(s.__xor__, vertices))
+        return map(self.row(s).__getitem__, vertices)
+
+    def on_path(self, h: int, s: int, t: int) -> bool:
+        """Whether h lies on a shortest s-t path (never, when t is unreachable)."""
+        if self._cube:
+            # the vertices on shortest s-t paths are the subcube s and t span
+            return not (s ^ h) & (t ^ h)
+        rs, rt = self.row(s), self.row(t)
+        return rs[h] + rt[h] == rs[t] != INFINITY
 
 
 @dataclass(frozen=True)

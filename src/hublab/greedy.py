@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 from itertools import compress
 from operator import add, and_
 
-from .graph import Graph, bfs_distances
+from .graph import Graph, PathSystem
 from .labeling import Labeling, _from_hub_lists
 
 
@@ -66,7 +66,7 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
         return GreedyRun(Labeling([], fingerprint=g.fingerprint()), [])
     if not g.is_connected():
         raise ValueError("greedy labeling requires a connected graph")
-    dist = [bfs_distances(g, s) for s in range(n)]
+    dist = list(map(PathSystem(g).row, range(n)))
     layers = []  # layers[x][k]: bitset of the vertices j with dist[x][j] == k
     for row in dist:
         lx = [0] * (max(row) + 1)

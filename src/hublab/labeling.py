@@ -2,10 +2,10 @@
 
 A labeling assigns every vertex a sorted list of (hub, distance) pairs. The
 cover property requires each vertex pair to share a hub lying on a shortest
-path between them; that is what `verify_cover` certifies against a BFS
-oracle. The self-pairs (v, v) count like any other pair, and v is the only
-hub on the trivial v-v path, so a valid labeling has v in L(v) at distance
-0 for every vertex v, and query(s, s) returns 0.
+path between them; that is what `verify_cover` certifies against the
+graph's `PathSystem`. The self-pairs (v, v) count like any other pair, and
+v is the only hub on the trivial v-v path, so a valid labeling has v in
+L(v) at distance 0 for every vertex v, and query(s, s) returns 0.
 
 The labels of all vertices live in one flat store (CSR): L(v) is
 hubs[offsets[v]:offsets[v + 1]] with the matching stored distances in
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, count, islice
-from operator import ge, lt, ne
+from itertools import islice
+from operator import lt, ne
 from typing import Optional
 
-from .graph import Graph, bfs_distances, popcount
+from .graph import Graph, PathSystem
 
 #: Distinguished query result when the two labels share no hub.
 NO_COMMON_HUB = None
@@ -59,18 +58,20 @@ class Labeling:
         fingerprint: Optional[tuple[int, int, str]] = None,
     ):
         offsets, hubs, dists = array("q", [0]), array("i"), array("i")
-        try:
-            for lab in labels:
-                pairs = sorted((int(h), int(dd)) for h, dd in lab)
-                hubs.extend([h for h, _ in pairs])
-                dists.extend([dd for _, dd in pairs])
-                offsets.append(len(hubs))
-        except OverflowError:
-            raise LabelingFormatError(
-                f"hub or distance outside 32 bits in label of vertex {len(offsets) - 1}"
-            ) from None
+        n = len(labels)
+        for v, lab in enumerate(labels):
+            pairs = sorted((int(h), int(dd)) for h, dd in lab)
+            hs, ds = [h for h, _ in pairs], [dd for _, dd in pairs]
+            try:
+                hubs.extend(hs)
+                dists.extend(ds)
+            except OverflowError:
+                raise LabelingFormatError(
+                    f"hub or distance outside 32 bits in label of vertex {v}"
+                ) from None
+            _check_label(v, hs, ds, n)
+            offsets.append(len(hubs))
         self._set(offsets, hubs, dists, fingerprint)
-        _validate(self)
 
     @classmethod
     def _from_arrays(cls, offsets: array, hubs: array, dists: array, fingerprint=None):
@@ -134,26 +135,17 @@ class LabelView(Sequence):
         return tuple(zip(lab.hubs[a:b], lab.dists[a:b]))
 
 
-def _validate(lab: Labeling) -> None:
-    """Raise LabelingFormatError unless each label's hubs ascend strictly
-    within [0, n) and every stored distance is nonnegative."""
-    off, hubs, dists = lab.offsets, lab.hubs, lab.dists
-
-    def fail(i: int, what: str):
-        v = bisect_right(off, i) - 1
-        raise LabelingFormatError(f"{what} in label of vertex {v}")
-
-    if hubs:
-        lo, hi = min(hubs), max(hubs)
-        if lo < 0 or hi >= lab.n:
-            fail(hubs.index(lo if lo < 0 else hi), f"hub out of range [0, {lab.n})")
-    if dists and min(dists) < 0:
-        fail(dists.index(min(dists)), "negative distance")
-    # i where hubs[i - 1] >= hubs[i]; allowed only where a new label starts
-    starts = set(off)
-    for i in compress(count(1), map(ge, hubs, islice(hubs, 1, None))):
-        if i not in starts:
-            fail(i, "hubs must be distinct and ascending")
+def _check_label(v: int, hs: list, ds: list, n: int) -> None:
+    """Raise LabelingFormatError unless the hubs hs of L(v) ascend strictly
+    within [0, n) and its stored distances ds are nonnegative."""
+    if not hs:
+        return
+    if min(hs) < 0 or max(hs) >= n:
+        raise LabelingFormatError(f"hub out of range [0, {n}) in label of vertex {v}")
+    if min(ds) < 0:
+        raise LabelingFormatError(f"negative distance in label of vertex {v}")
+    if not all(map(lt, hs, islice(hs, 1, None))):
+        raise LabelingFormatError(f"hubs must be distinct and ascending in label of vertex {v}")
 
 
 @dataclass
@@ -215,38 +207,14 @@ def query(lab: Labeling, s: int, t: int):
             hb = hubs[j]
 
 
-class _DistanceOracle:
-    """Per-source BFS cache; Hamming arithmetic on hypercubes."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._rows: dict = {}
-
-    def dist(self, u: int, v: int):
-        if self.g.is_hypercube is not None:
-            return popcount(u ^ v)
-        row = self._rows.get(u)
-        if row is None:
-            row = self._rows.get(v)
-            if row is not None:
-                return row[u]
-            row = bfs_distances(self.g, u)
-            self._rows[u] = row
-        return row[v]
-
-
-def _hub_mask(lab: Labeling, oracle: _DistanceOracle, s: int) -> int:
+def _hub_mask(lab: Labeling, paths: PathSystem, s: int) -> int:
     """The hubs of L(s) as a bitset (bit h set iff h is in L(s));
     LabelingFormatError unless every stored distance is true."""
     a, b = lab.offsets[s], lab.offsets[s + 1]
     hubs, dists = lab.hubs[a:b], lab.dists[a:b]
-    if oracle.g.is_hypercube is not None:
-        # Hamming distance inline: this runs once per entry of every label checked
-        true = map(int.bit_count, map(s.__xor__, hubs))
-    else:
-        true = (oracle.dist(s, h) for h in hubs)
-    if any(map(ne, true, dists)):
-        h, dd = next((h, dd) for h, dd in zip(hubs, dists) if oracle.dist(s, h) != dd)
+    if any(map(ne, paths.dists(s, hubs), dists)):
+        h, dd = next((h, dd) for h, dd, true in zip(hubs, dists, paths.dists(s, hubs))
+                     if true != dd)
         raise LabelingFormatError(f"stored distance {dd} for hub {h} of vertex {s} is wrong")
     return sum(map((1).__lshift__, hubs))
 
@@ -257,14 +225,14 @@ def verify_cover(
     sample: Optional[int] = None,
     seed: int = 0,
 ) -> CoverReport:
-    """Check the cover property against exact BFS distances.
+    """Check the cover property against the graph's exact distances.
 
     Exhaustive over all unordered pairs (self-pairs included) by default;
     with `sample` set, checks that many uniformly random pairs instead
     (ValueError unless it is at least 1; a graph with no vertices has no
     pair to draw and passes with none checked, as exhaustively). A pair is
-    covered when the query answer equals the BFS distance. The stored hub
-    distances of every label checked are validated against the oracle first
+    covered when the query answer equals the true distance. The stored hub
+    distances of every label checked are validated against `PathSystem` first
     (LabelingFormatError if one is wrong). Each violating pair is reported
     once, however often it is drawn; the violations are sorted by (s, t)
     and truncated to the first MAX_REPORTED_VIOLATIONS distinct ones.
@@ -273,11 +241,9 @@ def verify_cover(
     Each label checked is kept as one bitset of its hubs, so a pair's common
     hubs are one AND. Since every stored distance is true, each common hub
     sums to at least d(s, t) by the triangle inequality, and the query's
-    minimum equals d(s, t) exactly when some common hub reaches it: the
-    common hubs are tried from the highest until one does. On a hypercube
-    hub h reaches it exactly when h lies in the subcube s and t span, i.e.
-    when s ^ h and t ^ h share no bit; other graphs compare the two stored
-    distances, found by bisecting the labels, with the oracle's d(s, t).
+    minimum equals d(s, t) exactly when some common hub lies on a shortest
+    s-t path: the common hubs are tried from the highest down with the
+    graph's `PathSystem.on_path` until one does.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample of {sample} pairs checks nothing; need at least 1")
@@ -287,16 +253,14 @@ def verify_cover(
         )
     if lab.n != g.n:
         raise FingerprintMismatch(f"labeling has {lab.n} vertices, graph has {g.n}")
-    oracle = _DistanceOracle(g)
+    paths = PathSystem(g)
+    on_path = paths.on_path
     n = g.n
     if sample is None or n == 0:
         # t ascends from s = 0, so every label is checked before a second row
         pairs = ((s, t) for s in range(n) for t in range(s, n))
     else:
         pairs = _sampled_pairs(n, sample, seed)
-    cube = g.is_hypercube is not None
-    off, hubs, dists = lab.offsets, lab.hubs, lab.dists
-    dist = oracle.dist
     masks = [None] * n  # vertex -> checked hub bitset, built on first touch
     violations = []
     truncated = False
@@ -304,27 +268,17 @@ def verify_cover(
     for s, t in pairs:
         ms = masks[s]
         if ms is None:
-            ms = masks[s] = _hub_mask(lab, oracle, s)
+            ms = masks[s] = _hub_mask(lab, paths, s)
         mt = masks[t]
         if mt is None:
-            mt = masks[t] = _hub_mask(lab, oracle, t)
+            mt = masks[t] = _hub_mask(lab, paths, t)
         checked += 1
         common = ms & mt
-        if cube:
-            while common:
-                h = common.bit_length() - 1
-                if not (s ^ h) & (t ^ h):
-                    break
-                common ^= 1 << h
-        elif common:
-            target = dist(s, t)
-            a_s, b_s, a_t, b_t = off[s], off[s + 1], off[t], off[t + 1]
-            while common:
-                h = common.bit_length() - 1
-                if (dists[bisect_left(hubs, h, a_s, b_s)]
-                        + dists[bisect_left(hubs, h, a_t, b_t)] == target):
-                    break
-                common ^= 1 << h
+        while common:
+            h = common.bit_length() - 1
+            if on_path(h, s, t):
+                break
+            common ^= 1 << h
         if common:  # left nonzero only by a hub on a shortest path
             continue
         if (s, t) in violations:  # a repeat draw of a reported pair
@@ -495,15 +449,7 @@ def _parse_lines(lines) -> Labeling:
             dists.fromlist(ds)
         except OverflowError:
             raise LabelingFormatError(f"line {lineno}: hub or distance outside 32 bits") from None
-        # the label invariants of `_validate`, checked line by line
-        if hs:
-            if min(hs) < 0 or max(hs) >= n:
-                raise LabelingFormatError(f"hub out of range [0, {n}) in label of vertex {v}")
-            if min(ds) < 0:
-                raise LabelingFormatError(f"negative distance in label of vertex {v}")
-            if not all(map(lt, hs, islice(hs, 1, None))):
-                raise LabelingFormatError(
-                    f"hubs must be distinct and ascending in label of vertex {v}")
+        _check_label(v, hs, ds, n)
         line_of[v] = len(ends)
         ends.append(len(hubs))
     if n is None:

@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Optional
 
 from .constructions import VertexOrder, canonical_labeling
-from .graph import Graph, SubcubeDescriptor, bfs_distances
+from .graph import Graph, PathSystem, SubcubeDescriptor
 from .labeling import Labeling, _from_hub_lists, total_size
 
 MAX_BRUTE_HL_N = 6
@@ -47,13 +47,12 @@ def brute_optimal_hl(g: Graph) -> OracleResult:
         return OracleResult(0, Labeling([], fingerprint=g.fingerprint()), 0, 0.0)
     if not g.is_connected():
         raise ValueError("cover is impossible for a disconnected graph")
-    dist = [bfs_distances(g, s) for s in range(n)]
+    paths = PathSystem(g)
 
-    pairs = []
+    pairs = []  # ((i, j), the centers on shortest i-j paths)
     for i in range(n):
         for j in range(i, n):
-            opts = [v for v in range(n) if dist[i][v] + dist[v][j] == dist[i][j]]
-            pairs.append(((i, j), opts))
+            pairs.append(((i, j), [v for v in range(n) if paths.on_path(v, i, j)]))
     # fail-first: branch on pairs with the fewest covering options
     pairs.sort(key=lambda pr: (len(pr[1]), pr[0]))
 
@@ -74,17 +73,14 @@ def brute_optimal_hl(g: Graph) -> OracleResult:
                 extra += 1
         return cost + extra
 
-    def covered(i: int, j: int) -> bool:
-        return any(
-            (v, i) in chosen and (v, j) in chosen
-            for v in range(n)
-            if dist[i][v] + dist[v][j] == dist[i][j]
-        )
+    def covered(pair: tuple, opts: list) -> bool:
+        i, j = pair
+        return any((v, i) in chosen and (v, j) in chosen for v in opts)
 
     def search(idx: int, cost: int) -> None:
         nonlocal nodes, incumbent_size, incumbent
         nodes += 1
-        while idx < len(pairs) and covered(*pairs[idx][0]):
+        while idx < len(pairs) and covered(*pairs[idx]):
             idx += 1
         if idx == len(pairs):
             if cost < incumbent_size:
@@ -109,7 +105,9 @@ def brute_optimal_hl(g: Graph) -> OracleResult:
 
     search(0, 0)
     witness = _from_hub_lists(
-        [sorted(h for h, w in incumbent if w == v) for v in range(n)], dist, g.fingerprint()
+        [sorted(h for h, w in incumbent if w == v) for v in range(n)],
+        list(map(paths.row, range(n))),
+        g.fingerprint(),
     )
     return OracleResult(
         size=incumbent_size,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hublab import bounds as B
-from hublab.graph import hypercube, popcount
+from hublab.graph import Graph, hypercube, popcount
 from hublab.lp import solve
 
 F = Fraction
@@ -319,7 +319,16 @@ def test_primal_lp_graph_matches_hypercube_builder():
     g = hypercube(2)
     a = solve(B.build_primal_lp(2)).value
     b = solve(B.build_primal_lp_graph(g)).value
-    assert a == b == 8
+    # Q2 without the hypercube flag takes its on-path test from BFS
+    c = solve(B.build_primal_lp_graph(Graph(g.n, g.edges))).value
+    assert a == b == c == 8
+
+
+@pytest.mark.parametrize("g", [Graph(2, []), Graph(3, [(0, 1)]), Graph(4, [(0, 1), (2, 3)])])
+def test_primal_lp_graph_rejects_disconnected(g):
+    # no hub covers a pair in two components, so there is no bound to give
+    with pytest.raises(ValueError, match="disconnected"):
+        B.build_primal_lp_graph(g)
 
 
 def _subset_gain(d, y, S):

@@ -231,20 +231,22 @@ def test_greedy_file_and_log_are_pinned(capsys, tmp_path):
 
 def test_greedy_stuck_is_domain_error(capsys, tmp_path, monkeypatch):
     # a BFS that puts every vertex at distance 1 from itself leaves the
-    # self-pairs without a covering center, which greedy must report
-    import hublab.greedy as greedy
-    from hublab.graph import bfs_distances
+    # self-pairs without a covering center, which greedy must report; the
+    # graph file has no hypercube header, so its path system runs BFS
+    import hublab.graph as graph
+
+    bfs_distances = graph.bfs_distances
 
     def self_at_one(g, s):
         row = bfs_distances(g, s)
         row[s] = 1
         return row
 
-    monkeypatch.setattr(greedy, "bfs_distances", self_at_one)
-    gpath = str(tmp_path / "h2.g")
-    run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)
+    monkeypatch.setattr(graph, "bfs_distances", self_at_one)
+    gpath = tmp_path / "q2.g"
+    gpath.write_text("4 4\n0 1\n0 2\n1 3\n2 3\n")
     rc, _, err = run(
-        capsys, "build", "--scheme", "greedy", "--graph", gpath,
+        capsys, "build", "--scheme", "greedy", "--graph", str(gpath),
         "--out", str(tmp_path / "g.hl"),
     )
     assert rc == 1 and "uncovered" in err

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_connected_graph
 from hublab.graph import (
     BudgetError,
     Graph,
     GraphFormatError,
+    PathSystem,
     bfs_distances,
     hypercube,
     hypercube_fingerprint,
@@ -61,6 +63,50 @@ def test_bfs_equals_hamming_on_hypercube(d):
 def test_bfs_unreachable():
     g = Graph(3, [(0, 1)])
     assert bfs_distances(g, 0)[2] == float("inf")
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_path_system_hamming_equals_bfs(d):
+    # the flag-less copy of Q_d takes the BFS route
+    cube = hypercube(d)
+    flat = Graph(cube.n, cube.edges)
+    assert flat.is_hypercube is None
+    a, b = PathSystem(cube), PathSystem(flat)
+    n = cube.n
+    for s in range(n):
+        assert a.row(s) == b.row(s) == [popcount(s ^ v) for v in range(n)]
+        order = list(range(n - 1, -1, -1))
+        assert list(a.dists(s, order)) == list(b.dists(s, order)) == b.row(s)[::-1]
+        for t in range(n):
+            for h in range(n):
+                assert a.on_path(h, s, t) == b.on_path(h, s, t) == (h in induced_subcube(s, t))
+
+
+def _assert_on_path_by_bfs(g):
+    paths = PathSystem(g)
+    dist = [bfs_distances(g, s) for s in range(g.n)]
+    for s in range(g.n):
+        assert paths.row(s) == dist[s]
+        for t in range(g.n):
+            for h in range(g.n):
+                assert paths.on_path(h, s, t) == (dist[s][h] + dist[h][t] == dist[s][t])
+
+
+def test_path_system_on_cycle_and_path():
+    _assert_on_path_by_bfs(Graph(5, [(i, (i + 1) % 5) for i in range(5)]))
+    _assert_on_path_by_bfs(Graph(6, [(i, i + 1) for i in range(5)]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_path_system_on_random_graphs(seed):
+    _assert_on_path_by_bfs(random_connected_graph(5 + 3 * seed, 2 * seed, seed=seed))
+
+
+def test_path_system_unreachable_pair_has_no_path():
+    paths = PathSystem(Graph(3, [(0, 1)]))
+    assert list(paths.dists(0, [2, 1])) == [float("inf"), 1]
+    assert not any(paths.on_path(h, 0, 2) for h in range(3))
+    assert paths.on_path(0, 0, 1) and paths.on_path(1, 0, 1)
 
 
 def test_induced_subcube_examples():
