@@ -19,6 +19,7 @@ from .graph import (
     hypercube,
     load_graph,
     parse_graph,
+    save_graph,
     serialize_graph,
 )
 from .greedy import GreedyError, greedy_run
@@ -80,12 +81,10 @@ def _int_at_least(low: int):
 
 def cmd_gen(args) -> int:
     g = hypercube(args.d)
-    text = serialize_graph(g)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        save_graph(g, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_graph(g))
     return 0
 
 

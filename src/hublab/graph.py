@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice, repeat
 from math import inf
 from typing import Iterable, Iterator, Optional
 
@@ -29,12 +31,14 @@ def popcount(x: int) -> int:
 class Graph:
     """Simple undirected graph over dense integer vertex ids.
 
-    Immutable after construction. `is_hypercube` is set to the dimension d
-    when the graph is a d-dimensional hypercube with the standard bit-flip
-    vertex ids; its `PathSystem` then uses Hamming distance, not BFS.
+    Immutable after construction. `adj[v]` is the ascending tuple of v's
+    neighbours; every list shares one int object per vertex id. `is_hypercube`
+    is set to the dimension d when the graph is a d-dimensional hypercube
+    with the standard bit-flip vertex ids; its `PathSystem` then uses Hamming
+    distance, not BFS.
     """
 
-    __slots__ = ("n", "edges", "adj", "is_hypercube", "_fingerprint")
+    __slots__ = ("n", "m", "adj", "is_hypercube", "_fingerprint")
 
     def __init__(
         self,
@@ -43,46 +47,55 @@ class Graph:
         is_hypercube: Optional[int] = None,
     ):
         self.n = n
-        seen = set()
-        norm = []
-        adj: list[list[int]] = [[] for _ in range(n)]
+        ids = list(range(n))
+        adj: list = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphFormatError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-            adj[u].append(v)
-            adj[v].append(u)
-        norm.sort()
-        self.edges = tuple(norm)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
-        if is_hypercube is not None:
-            d = is_hypercube
-            # d < n.bit_length() keeps 1 << d no larger than n
-            if not 0 <= d < n.bit_length() or n != 1 << d:
-                raise GraphFormatError(f"hypercube d={d} needs 2^{d} vertices, got {n}")
-            expected_m = d * (1 << (d - 1)) if d > 0 else 0
-            if len(self.edges) != expected_m:
-                raise GraphFormatError(f"hypercube d={d} has wrong edge count")
-            for u, v in self.edges:
-                if (u ^ v).bit_count() != 1:
-                    raise GraphFormatError(f"edge ({u},{v}) is not a bit flip")
-        self.is_hypercube = is_hypercube
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+        for u, a in enumerate(adj):
+            a.sort()
+            for x, y in zip(a, a[1:]):
+                if x == y:
+                    raise GraphFormatError(f"duplicate edge {(u, x) if u < x else (x, u)}")
+            adj[u] = tuple(a)
+        self.adj = tuple(adj)
+        self.m = sum(map(len, adj)) >> 1
+        self.is_hypercube = None
         self._fingerprint = None
+        if is_hypercube is not None:
+            self._mark_hypercube(is_hypercube)
+
+    def _mark_hypercube(self, d: int) -> None:
+        """Set `is_hypercube` to d once the graph is checked to be Q_d."""
+        n = self.n
+        # d < n.bit_length() keeps 1 << d no larger than n
+        if not 0 <= d < n.bit_length() or n != 1 << d:
+            raise GraphFormatError(f"hypercube d={d} needs 2^{d} vertices, got {n}")
+        if self.m != d << d >> 1:
+            raise GraphFormatError(f"hypercube d={d} has wrong edge count")
+        for u, v in self._edge_iter():
+            if (u ^ v).bit_count() != 1:
+                raise GraphFormatError(f"edge ({u},{v}) is not a bit flip")
+        self.is_hypercube = d
+
+    def _edge_iter(self) -> Iterator[tuple[int, int]]:
+        """The edges (u, v), u < v, in ascending order."""
+        for u, a in enumerate(self.adj):
+            yield from zip(repeat(u), a[bisect_right(a, u):])
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, v), u < v, in ascending order."""
+        return tuple(self._edge_iter())
 
     def fingerprint(self) -> tuple[int, int, str]:
         """(n, m, hash) triple binding labelings to this graph."""
         if self._fingerprint is None:
-            self._fingerprint = _fingerprint(self.n, self.m, self.edges)
+            self._fingerprint = _fingerprint(self.n, self.m, self._edge_iter())
         return self._fingerprint
 
     def is_connected(self) -> bool:
@@ -92,9 +105,12 @@ class Graph:
 
 
 def _fingerprint(n: int, m: int, edges: Iterable[tuple[int, int]]) -> tuple[int, int, str]:
-    """(n, m, hash) of a graph from its m edges (u, v), u < v, in ascending order."""
+    """(n, m, hash) of a graph from its m edges (u, v), u < v, in ascending
+    order, hashed 1024 edges at a time."""
     h = hashlib.sha256(f"{n} {m}".encode())
-    h.update("".join(f" {u},{v}" for u, v in edges).encode())
+    edges = iter(edges)
+    while chunk := "".join(f" {u},{v}" for u, v in islice(edges, 1024)):
+        h.update(chunk.encode())
     return (n, m, h.hexdigest()[:16])
 
 
@@ -252,13 +268,23 @@ def random_automorphism(d: int, seed: int) -> HypercubeAutomorphism:
 
 # --- text format: line `n m`, then m lines `u v`; `#` comments ignored ---
 
-def serialize_graph(g: Graph) -> str:
-    lines = []
+def _graph_lines(g: Graph) -> Iterator[str]:
+    """The lines of the graph's text, each ending in a newline."""
     if g.is_hypercube is not None:
-        lines.append(f"# hypercube d={g.is_hypercube}")
-    lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+        yield f"# hypercube d={g.is_hypercube}\n"
+    yield f"{g.n} {g.m}\n"
+    for u, v in g._edge_iter():
+        yield f"{u} {v}\n"
+
+
+def serialize_graph(g: Graph) -> str:
+    return "".join(_graph_lines(g))
+
+
+def save_graph(g: Graph, path: str) -> None:
+    """Write the graph's text to `path` one line at a time."""
+    with open(path, "w") as f:
+        f.writelines(_graph_lines(g))
 
 
 def parse_graph(text: str) -> Graph:
@@ -268,40 +294,52 @@ def parse_graph(text: str) -> Graph:
 
 
 def _parse_graph_lines(lines) -> Graph:
-    """Graph from the lines of its text, numbered from 1, as `parse_graph`."""
-    hypercube_d = n = m = None
-    edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if parts and parts[0] == "hypercube":
-                for p in parts[1:]:
-                    if p.startswith("d="):
-                        hypercube_d = _parse_int(p[2:], lineno, "hypercube dimension")
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected 'n m' header")
-            n = _parse_int(parts[0], lineno, "vertex count")
-            m = _parse_int(parts[1], lineno, "edge count")
-            if n > MAX_GRAPH_N:
-                raise BudgetError(f"line {lineno}: {n} vertices exceed budget {MAX_GRAPH_N}")
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v'")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: expected integer endpoints 'u v'") from None
-    if n is None:
+    """Graph from the lines of its text, numbered from 1, as `parse_graph`;
+    the edge lines go straight into the graph as they are read."""
+    hypercube_d = None
+
+    def fields():
+        """(line number, fields) of each line that is neither blank nor a comment."""
+        nonlocal hypercube_d
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if parts and parts[0] == "hypercube":
+                    for p in parts[1:]:
+                        if p.startswith("d="):
+                            hypercube_d = _parse_int(p[2:], lineno, "hypercube dimension")
+                continue
+            yield lineno, line.split()
+
+    rows = fields()
+    lineno, parts = next(rows, (0, None))
+    if parts is None:
         raise GraphFormatError("missing 'n m' header")
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges, is_hypercube=hypercube_d)
+    if len(parts) != 2:
+        raise GraphFormatError(f"line {lineno}: expected 'n m' header")
+    n = _parse_int(parts[0], lineno, "vertex count")
+    m = _parse_int(parts[1], lineno, "edge count")
+    if n > MAX_GRAPH_N:
+        raise BudgetError(f"line {lineno}: {n} vertices exceed budget {MAX_GRAPH_N}")
+
+    def edges():
+        for lineno, parts in rows:
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected 'u v'")
+            try:
+                yield int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: expected integer endpoints 'u v'") from None
+
+    g = Graph(n, edges())
+    if g.m != m:
+        raise GraphFormatError(f"header declares {m} edges, found {g.m}")
+    if hypercube_d is not None:
+        g._mark_hypercube(hypercube_d)
+    return g
 
 
 def _parse_int(field: str, lineno: int, what: str) -> int:

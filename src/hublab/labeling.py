@@ -369,19 +369,19 @@ def _label_lines(lab: Labeling):
     if lab.fingerprint is not None:
         n, m, h = lab.fingerprint
         yield f"# graph {n} {m} {h}\n"
-    off = lab.offsets
-    # hub, dist, hub, dist, ... of all labels in one array (the repeat only
-    # sizes it, with no zero-filled buffer to copy from)
-    flat = lab.hubs * 2
-    flat[0::2] = lab.hubs
-    flat[1::2] = lab.dists
-    text = {x: str(x) for x in set(flat)}.__getitem__  # each distinct value once
+    off, hubs, dists = lab.offsets, lab.hubs, lab.dists
+    text = {x: str(x) for x in {*hubs, *dists}}.__getitem__  # each distinct value once
     for v in range(lab.n):
         a, b = off[v], off[v + 1]
         if a == b:
             yield f"{v} 0\n"
         else:
-            yield f"{v} {b - a} {' '.join(map(text, flat[2 * a:2 * b]))}\n"
+            # hub, dist, hub, dist, ... of this label (the repeat only sizes
+            # it, with no zero-filled buffer to copy from)
+            flat = hubs[a:b] * 2
+            flat[0::2] = hubs[a:b]
+            flat[1::2] = dists[a:b]
+            yield f"{v} {b - a} {' '.join(map(text, flat))}\n"
 
 
 def serialize_labeling(lab: Labeling) -> str:

@@ -1,5 +1,6 @@
 """Property tests for the graph text format: round trips and typed rejections."""
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +14,7 @@ from hublab.graph import (
     hypercube,
     load_graph,
     parse_graph,
+    save_graph,
     serialize_graph,
 )
 
@@ -122,6 +124,58 @@ def test_corruptions_cover_every_kind():
             parse_graph(text)
 
 
+# a flag-less graph with a vertex of degree 3, so faults land on lines of both kinds
+PLAIN6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+
+#: The error each single fault raises, by graph and kind; `corrupt` draws
+#: its fault with random.Random(0). The hypercube kinds need a flagged graph.
+SINGLE_FAULT_ERRORS = {
+    ("Q3", "vertex count not an integer"): "line 2: expected 'n m' header",
+    ("Q3", "negative vertex count"): "line 2: negative vertex count -4",
+    ("Q3", "edge count not an integer"): "line 2: edge count '1e3' is not an integer",
+    ("Q3", "negative edge count"): "line 2: negative edge count -4",
+    ("Q3", "wrong edge count"): "header declares 11 edges, found 12",
+    ("Q3", "header fields"): "line 2: expected 'n m' header",
+    ("Q3", "endpoint not an integer"): "line 9: expected integer endpoints 'u v'",
+    ("Q3", "endpoint out of range"): "edge (2,-2) out of range for n=8",
+    ("Q3", "self-loop"): "self-loop at vertex 6",
+    ("Q3", "duplicate edge"): "duplicate edge (2, 6)",
+    ("Q3", "edge fields"): "line 9: expected 'u v'",
+    ("Q3", "hypercube dimension not an integer"):
+        "line 1: hypercube dimension '2.0' is not an integer",
+    ("Q3", "negative hypercube dimension"): "line 1: negative hypercube dimension -4",
+    ("Q3", "wrong hypercube dimension"): "hypercube d=4 needs 2^4 vertices, got 8",
+    ("Q3", "missing header"): "missing 'n m' header",
+    ("plain6", "vertex count not an integer"): "line 1: expected 'n m' header",
+    ("plain6", "negative vertex count"): "line 1: negative vertex count -4",
+    ("plain6", "edge count not an integer"): "line 1: edge count '1e3' is not an integer",
+    ("plain6", "negative edge count"): "line 1: negative edge count -4",
+    ("plain6", "wrong edge count"): "header declares 6 edges, found 7",
+    ("plain6", "header fields"): "line 1: expected 'n m' header",
+    ("plain6", "endpoint not an integer"): "line 8: expected integer endpoints 'u v'",
+    ("plain6", "endpoint out of range"): "edge (4,-1) out of range for n=6",
+    ("plain6", "self-loop"): "self-loop at vertex 5",
+    ("plain6", "duplicate edge"): "duplicate edge (4, 5)",
+    ("plain6", "edge fields"): "line 8: expected 'u v'",
+    ("plain6", "missing header"): "missing 'n m' header",
+}
+
+
+@pytest.mark.parametrize("name,kind", SINGLE_FAULT_ERRORS)
+def test_single_fault_error_is_pinned(name, kind):
+    g = {"Q3": hypercube(3), "plain6": PLAIN6}[name]
+    text = corrupt(g, kind, random.Random(0))
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert (type(err.value), str(err.value)) == (GraphFormatError, SINGLE_FAULT_ERRORS[name, kind])
+
+
+def test_pinned_errors_cover_every_applicable_kind():
+    for name, g in (("Q3", hypercube(3)), ("plain6", PLAIN6)):
+        applicable = {k for k in KINDS if corrupt(g, k, random.Random(0)) is not None}
+        assert applicable == {k for n, k in SINGLE_FAULT_ERRORS if n == name}
+
+
 @pytest.mark.parametrize("text", [
     "-3 0\n", "two 1\n", "0 x\n", "# hypercube d=x\n1 0\n", "# hypercube d=-1\n1 0\n",
     "# hypercube d=99999999999\n1 0\n", "3 1\n0 y\n", "",
@@ -190,3 +244,26 @@ def test_load_equals_parse(tmp_path, g, kind, rnd):
 def test_load_of_arbitrary_file_equals_parse(tmp_path, text):
     assert_file_reads_as_text(text, tmp_path / "any.txt")
     assert_file_reads_as_text(text.replace("\n", "\r\n"), tmp_path / "any.txt")
+
+
+@pytest.mark.parametrize("g", [hypercube(d) for d in range(9)] + [PLAIN6, Graph(0, [])])
+def test_save_graph_writes_the_text(tmp_path, g):
+    path = tmp_path / "g.txt"
+    save_graph(g, path)
+    assert path.read_bytes() == serialize_graph(g).encode()
+
+
+def test_load_holds_only_the_adjacency(tmp_path):
+    # Q10 held 0.75 MiB and peaked at 1.7 MiB while an edge tuple, per-edge
+    # int copies in the adjacency and a set of seen edges were kept; now
+    # about 0.15 and 0.23 MiB
+    path = tmp_path / "q10.g"
+    save_graph(hypercube(10), path)
+    tracemalloc.start()
+    try:
+        g = load_graph(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.is_hypercube == 10
+    assert held < 0.3 * (1 << 20) and peak < 0.5 * (1 << 20), (held, peak)

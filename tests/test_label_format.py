@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hublab.constructions import halfsplit_hl
+from hublab.constructions import halfsplit_hl, subset_hhl
 from hublab.labeling import (
     Labeling,
     LabelingFormatError,
@@ -207,3 +207,19 @@ def test_save_and_load_stay_near_the_store_size(tmp_path):
         tracemalloc.stop()
     assert again == lab
     assert save_peak < 2.5 * store and load_peak < 2.5 * store, (save_peak, load_peak, store)
+
+
+def test_save_peak_is_one_label_not_the_store(tmp_path):
+    # the subset labeling of Q10 stores 59,049 entries (0.45 MiB of hubs and
+    # dists) and its largest label has 1,024; the writer holds the text of
+    # each distinct value and one label's line (about 0.15 MiB), not a copy
+    # of the store interleaved (0.6 MiB)
+    lab = subset_hhl(10)
+    largest = max(b - a for a, b in zip(lab.offsets, lab.offsets[1:]))
+    tracemalloc.start()
+    try:
+        save_labeling(lab, tmp_path / "s10.hl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 18) + 32 * largest, (peak, largest)
