@@ -32,7 +32,7 @@ class Graph:
     """Simple undirected graph over dense integer vertex ids.
 
     Immutable after construction. `adj[v]` is the ascending tuple of v's
-    neighbours; every list shares one int object per vertex id. `is_hypercube`
+    neighbours; the tuples share one int object per vertex id. `is_hypercube`
     is set to the dimension d when the graph is a d-dimensional hypercube
     with the standard bit-flip vertex ids; its `PathSystem` then uses Hamming
     distance, not BFS.

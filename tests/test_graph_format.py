@@ -124,7 +124,7 @@ def test_corruptions_cover_every_kind():
             parse_graph(text)
 
 
-# a flag-less graph with a vertex of degree 3, so faults land on lines of both kinds
+# a graph without the hypercube header, for the errors of plain graph files
 PLAIN6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
 
 #: The error each single fault raises, by graph and kind; `corrupt` draws
