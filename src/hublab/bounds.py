@@ -17,15 +17,13 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Optional
 
-from .graph import Graph, PathSystem, hypercube, popcount
+from .budget import BITS, LIMITS, check, fits
+from .graph import Graph, PathSystem, check_dimension, hypercube, popcount
 from .lp import GEQ, LEQ, LPSolution, RationalLP, solve
 
-MAX_REGULAR_D = 4
 #: Most pair edges the ROPT separation may cut through; admits d <= 10
 #: (29525 pair edges, about 0.7 s), not d = 11 (88574).
-MAX_ROPT_PAIR_EDGES = 1 << 15
-MAX_DUAL_D = 3
-MAX_PRIMAL_D = 2
+MAX_ROPT_PAIR_EDGES = LIMITS["cut pair edges"]
 
 
 def pair_count(d: int, k: int) -> Fraction:
@@ -45,6 +43,7 @@ class BoundCheckError(ValueError):
 
 
 def _check_k(d: int, k: int) -> None:
+    check_dimension(d)
     if not 0 <= k <= d:
         raise ValueError(f"k={k} out of range for d={d}")
 
@@ -207,12 +206,16 @@ def brute_densest_subgraph(d: int, k: int) -> Fraction:
     """Max density over all nonempty vertex subsets of the distance-k pair
     graph, by exhaustive enumeration per connected component.
 
-    A self-loop counts as one edge and contributes degree one. Components
-    must have at most 24 vertices (covers every k at d <= 4).
+    A self-loop counts as one edge and contributes degree one. Listing the
+    edges takes 2^d + C(d,k) * 2^k steps, and enumerating a component C
+    2^|C| * |E(C)|; each is budgeted before it starts.
     """
-    edges = disjoint_pair_edges(d, k)
+    _check_k(d, k)
     if k == 0:
         return Fraction(1)
+    what = f"brute_densest_subgraph(d={d}, k={k})"
+    check(what, (1 << d) + (comb(d, k) << k) if d < BITS else 1 << BITS, "search steps")
+    edges = disjoint_pair_edges(d, k)
     # split into components of the pair graph
     adj: dict = {}
     for a, b in edges:
@@ -233,13 +236,12 @@ def brute_densest_subgraph(d: int, k: int) -> Fraction:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(comp) > 24:
-            raise ValueError(f"component of {len(comp)} vertices too large to enumerate")
         comp.sort()
         index = {v: i for i, v in enumerate(comp)}
         comp_edges = [
             (index[a], index[b]) for a, b in edges if a in index and b in index
         ]
+        check(f"{what} on {len(comp)} vertices", len(comp_edges) << len(comp), "search steps")
         for subset in range(1, 1 << len(comp)):
             cnt = 0
             for a, b in comp_edges:
@@ -297,11 +299,12 @@ def build_regular_lp(d: int) -> RationalLP:
     every vertex subset S, sum over pairs within S on a shortest path
     through the all-zeros vertex of y_dist <= |S|.
 
-    Materializes all 2^(2^d) subsets through `_packing_rows`, which keeps one
-    row per distinct coefficient vector, the one with the smallest |S|.
+    Materializes all 2^(2^d) subsets, d + 1 cells each, through
+    `_packing_rows`, which keeps one row per distinct coefficient vector,
+    the one with the smallest |S|.
     """
-    if not 0 <= d <= MAX_REGULAR_D:
-        raise ValueError(f"regular LP materialization capped at d <= {MAX_REGULAR_D}")
+    check_dimension(d)
+    check(f"build_regular_lp(d={d})", (d + 1) << min(1 << min(d, BITS), BITS), "Fraction cells")
     return RationalLP(
         sense="max",
         objective=[pair_count(d, k) for k in range(d + 1)],
@@ -424,7 +427,7 @@ def ropt_pair_edges(d: int) -> int:
 
 def ropt_fits_budget(d: int) -> bool:
     """Whether `regular_lp_optimum(d)` is within MAX_ROPT_PAIR_EDGES."""
-    return 0 <= d < MAX_ROPT_PAIR_EDGES.bit_length() and ropt_pair_edges(d) <= MAX_ROPT_PAIR_EDGES
+    return d >= 0 and fits(ropt_pair_edges(min(d, BITS)), "cut pair edges")
 
 
 def regular_lp_optimum(d: int) -> LPSolution:
@@ -438,10 +441,8 @@ def regular_lp_optimum(d: int) -> LPSolution:
     with zeros, certifies it optimal for the full one. Returns the final
     restricted solution.
     """
-    if not ropt_fits_budget(d):
-        raise ValueError(
-            f"ROPT at d={d} needs more than {MAX_ROPT_PAIR_EDGES} pair edges in its separation"
-        )
+    check_dimension(d)
+    check(f"regular_lp_optimum(d={d})", ropt_pair_edges(min(d, BITS)), "cut pair edges")
     ks = range(d + 1)
     pairs = _regular_pairs(d, ks)
 
@@ -475,10 +476,11 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
 def build_dual_lp(d: int) -> RationalLP:
     """Path-packing dual: one variable per unordered vertex pair, one
     constraint per (vertex v, subset S): pairs within S with v on a
-    shortest path between them carry total weight at most |S|."""
-    if not 0 <= d <= MAX_DUAL_D:
-        raise ValueError(f"dual LP materialization capped at d <= {MAX_DUAL_D}")
-    n = 1 << d
+    shortest path between them carry total weight at most |S|. Visits the
+    2^n subsets once per center, n(n+1)/2 cells each, for n = 2^d."""
+    check_dimension(d)
+    n = 1 << min(d, BITS)
+    check(f"build_dual_lp(d={d})", n * n * (n + 1) // 2 << min(n, BITS), "Fraction cells")
     pairs = _all_pairs(n)
     on_path = PathSystem(hypercube(d)).on_path
     covered = [
@@ -497,23 +499,21 @@ def build_primal_lp(d: int) -> RationalLP:
     """Fractional covering LP: variables x[v,S] >= 0, constraint per pair
     {i,j}: sum over S containing both and v on a shortest i-j path of
     x[v,S] >= 1; minimize sum |S|*x[v,S]."""
-    if not 0 <= d <= MAX_PRIMAL_D:
-        raise ValueError(f"primal LP materialization capped at d <= {MAX_PRIMAL_D}")
     return _primal_lp_generic(hypercube(d), name=f"primal-lp-d{d}")
 
 
 def build_primal_lp_graph(g: Graph) -> RationalLP:
-    """Covering LP for an arbitrary tiny connected graph (n <= 4); a
-    disconnected graph has pairs no hub covers and is refused."""
-    if g.n > 4:
-        raise ValueError("general-graph primal LP capped at n <= 4")
-    if not g.is_connected():
-        raise ValueError("cover is impossible for a disconnected graph")
+    """Covering LP for an arbitrary tiny connected graph (n <= 11 in
+    budget); a disconnected graph has pairs no hub covers and is refused."""
     return _primal_lp_generic(g, name=f"primal-lp-n{g.n}")
 
 
 def _primal_lp_generic(g: Graph, name) -> RationalLP:
     n = g.n
+    # n(n+1)/2 pair rows, each with a cell for the n(2^n - 1) variables
+    check(name, n * (n + 1) // 2 * n * ((1 << n) - 1), "Fraction cells")
+    if not g.is_connected():
+        raise ValueError("cover is impossible for a disconnected graph")
     on_path = PathSystem(g).on_path
     pairs = _all_pairs(n)
     variables = []  # (v, S)
@@ -564,7 +564,10 @@ class BoundReport:
 
 
 def bound_report(d: int, with_lp: bool = False, with_oracle: bool = False) -> BoundReport:
-    """Exact psi table plus optional LP optima and oracle sandwiches."""
+    """Exact psi table plus optional LP optima and oracle sandwiches, each
+    optimum where the budget admits it. Each of the table's d + 1 rows takes
+    gcds of numbers of about d bits, (d + 1) * d^2 bit operations in all."""
+    check(f"bound_report(d={d})", (d + 1) * d * d, "bit operations")
     table = [(k, pair_count(d, k), y_star(d, k), psi(d, k)) for k in range(d + 1)]
     k_star, max_psi = psi_argmax(d)
     ropt = lopt = opt = None
@@ -579,13 +582,13 @@ def bound_report(d: int, with_lp: bool = False, with_oracle: bool = False) -> Bo
             )
             if not max_psi <= ropt <= (d + 1) * max_psi:
                 raise BoundCheckError(f"d={d}: ROPT {ropt} outside its psi sandwich")
-        # the d=3 pair-packing solve (1140 rows) takes 50-70 s in exact
-        # rationals on a 2.1 GHz Xeon; only report it where it is cheap (the
-        # builder itself still allows d=3)
-        if d <= MAX_PRIMAL_D:
+        # a time policy, not a size check: the d=3 pair-packing dual (1140
+        # rows, 43,549 tableau cells) is in budget, but its solve takes 50-70 s
+        # in exact rationals on a 2.1 GHz Xeon, so LOPT is reported for d <= 2
+        if d <= 2:
             lopt = solve(build_dual_lp(d)).value
             sandwiches.append(f"LOPT = {lopt} (path-packing dual optimum)")
-    if with_oracle and d <= 2:
+    if with_oracle and fits(1 << d, "branch-and-bound vertices"):
         from .oracle import brute_optimal_hl
 
         opt = brute_optimal_hl(hypercube(d)).size

@@ -2,7 +2,8 @@
 
 Subcommands: gen, build, query, verify, bounds, oracle, gap-report.
 Exit codes: 0 success, 1 domain error (invalid labeling, no common hub,
-infeasible instance, greedy left pairs uncovered), 2 usage error.
+infeasible instance, an input over its work budget, greedy left pairs
+uncovered), 2 usage error.
 """
 from __future__ import annotations
 
@@ -12,20 +13,9 @@ from fractions import Fraction
 
 from . import bounds as bnd
 from . import constructions as cons
-from .graph import (
-    BudgetError,
-    Graph,
-    GraphFormatError,
-    hypercube,
-    load_graph,
-    parse_graph,
-    save_graph,
-    serialize_graph,
-)
+from .graph import Graph, hypercube, load_graph, parse_graph, save_graph, serialize_graph
 from .greedy import GreedyError, greedy_run
 from .labeling import (
-    FingerprintMismatch,
-    LabelingFormatError,
     NO_COMMON_HUB,
     is_hierarchical,
     load_labeling,
@@ -98,10 +88,7 @@ def cmd_build(args) -> int:
         d = _require_hypercube(g)
         lab = cons.canonical_labeling(d, _parse_order(args.order, d), graph=g)
     elif args.scheme == "greedy":
-        if g.n > args.max_n:
-            raise DomainError(f"graph has {g.n} vertices; greedy capped at {args.max_n}")
-        run = greedy_run(g, log=sys.stderr)
-        lab = run.labeling
+        lab = greedy_run(g, log=sys.stderr).labeling
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown scheme {args.scheme}")
     save_labeling(lab, args.out)
@@ -258,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True)
     b.add_argument("--order", default="reverse-id",
                    help="canonical scheme: <file>|random:<seed>|reverse-id")
-    b.add_argument("--max-n", type=int, default=256,
-                   help="greedy scheme: most vertices greedy may run on")
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("query", help="distance query from labels")
@@ -309,17 +294,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        DomainError,
-        BudgetError,
-        GraphFormatError,
-        LabelingFormatError,
-        FingerprintMismatch,
-        GreedyError,
-        LPCertificateError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (DomainError, GreedyError, LPCertificateError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,8 @@ from array import array
 from operator import xor
 from typing import Optional, Sequence
 
-from .graph import BudgetError, Graph, hypercube_fingerprint, popcount
+from .budget import BITS, check, fits
+from .graph import Graph, check_dimension, hypercube_fingerprint, popcount
 from .labeling import Labeling
 
 
@@ -54,10 +55,6 @@ class VertexOrder:
 
 #: Bytes of store per label entry: one 'i' hub plus one 'i' distance.
 ENTRY_BYTES = 8
-#: Largest label store a construction may allocate.
-MAX_STORE_BYTES = 1 << 29
-
-
 #: Bytes per entry of `canonical_labeling`, which has one entry per
 #: subcube: the store's 8, plus 4 for the one per-subcube 'i' array alive
 #: beside it (the label buckets, freed as the store is written). Before
@@ -67,21 +64,8 @@ CANONICAL_ENTRY_BYTES = ENTRY_BYTES + 4
 
 
 def fits_store_budget(entries: int, entry_bytes: int = ENTRY_BYTES) -> bool:
-    """Whether a build of `entries` entries, `entry_bytes` bytes each at its
-    peak, fits in MAX_STORE_BYTES."""
-    return entries * entry_bytes <= MAX_STORE_BYTES
-
-
-def _check_budget(d: int, entries, entry_bytes: int = ENTRY_BYTES) -> None:
-    """Reject d < 0, and a labeling of Q_d whose `entries(d)` predicted
-    entries exceed the store budget, before anything is allocated."""
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
-    # every vertex has a label entry, so 2^d entries at least
-    if d >= MAX_STORE_BYTES.bit_length() or not fits_store_budget(entries(d), entry_bytes):
-        raise BudgetError(
-            f"a labeling of Q_{d} needs more than {MAX_STORE_BYTES} bytes of label store"
-        )
+    """Whether `entries` entries, `entry_bytes` bytes each at peak, fit the store budget."""
+    return fits(entries * entry_bytes, "store bytes")
 
 
 def _fingerprint(d: int, graph: Optional[Graph]):
@@ -90,7 +74,8 @@ def _fingerprint(d: int, graph: Optional[Graph]):
 
 def subset_hhl(d: int, graph: Optional[Graph] = None) -> Labeling:
     """L(v) = all ids that are bit-subsets of v; hierarchical, size 3^d."""
-    _check_budget(d, lambda d: 3 ** d)
+    check_dimension(d)
+    check(f"subset_hhl(d={d})", 3 ** min(d, BITS) * ENTRY_BYTES, "store bytes")
     n = 1 << d
     offsets, hubs, dists = array("q", [0, 1]), array("i", [0]), array("i", [0])
     for v in range(1, n):
@@ -121,7 +106,8 @@ def canonical_labeling(
     highest free coordinate is i is the higher-ranked of the tops of its
     two halves, split at coordinate i.
     """
-    _check_budget(d, lambda d: 3 ** d, CANONICAL_ENTRY_BYTES)
+    check_dimension(d)
+    check(f"canonical_labeling(d={d})", 3 ** min(d, BITS) * CANONICAL_ENTRY_BYTES, "store bytes")
     n = 1 << d
     if order.n != n:
         raise ValueError(f"order covers {order.n} vertices, hypercube has {n}")
@@ -194,7 +180,8 @@ def halfsplit_hl(d: int, graph: Optional[Graph] = None) -> Labeling:
     Hubs are stored deduplicated (v belongs to both families); the
     two-family size formula remains an upper bound, see halfsplit_sizes.
     """
-    _check_budget(d, lambda d: halfsplit_sizes(d)[0])
+    check_dimension(d)
+    check(f"halfsplit_hl(d={d})", halfsplit_sizes(min(d, BITS))[0] * ENTRY_BYTES, "store bytes")
     n = 1 << d
     last_len = d - d // 2  # number of low (last) bits fixed by family B
     size_a, size_b = 1 << last_len, 1 << (d - last_len)

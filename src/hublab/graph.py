@@ -9,15 +9,12 @@ from itertools import islice, repeat
 from math import inf
 from typing import Iterable, Iterator, Optional
 
-MAX_HYPERCUBE_DIM = 20
-#: Most vertices a graph file may declare: those of the largest hypercube.
-MAX_GRAPH_N = 1 << MAX_HYPERCUBE_DIM
+from .budget import BITS, LIMITS, BudgetError, check  # BudgetError re-exported
+
+#: Most vertices a graph file may declare or a hypercube may have.
+MAX_GRAPH_N = LIMITS["graph vertices"]
 
 INFINITY = inf
-
-
-class BudgetError(ValueError):
-    """Requested instance exceeds the configured size budget."""
 
 
 class GraphFormatError(ValueError):
@@ -123,22 +120,23 @@ def _hypercube_edges(d: int) -> Iterator[tuple[int, int]]:
                 yield v, v | b
 
 
-def _check_hypercube_dim(d: int) -> None:
+def check_dimension(d: int) -> None:
+    """Raise ValueError for a negative dimension, before any budget check."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    if d > MAX_HYPERCUBE_DIM:
-        raise BudgetError(f"hypercube dimension {d} exceeds budget {MAX_HYPERCUBE_DIM}")
 
 
 def hypercube(d: int) -> Graph:
     """d-dimensional hypercube: ids 0..2^d-1, edges between ids differing in one bit."""
-    _check_hypercube_dim(d)
+    check_dimension(d)
+    check(f"Q_{d}", 1 << min(d, BITS), "graph vertices")
     return Graph(1 << d, _hypercube_edges(d), is_hypercube=d)
 
 
 def hypercube_fingerprint(d: int) -> tuple[int, int, str]:
     """hypercube(d).fingerprint(), streamed from the edge list without building the graph."""
-    _check_hypercube_dim(d)
+    check_dimension(d)
+    check(f"Q_{d}", 1 << min(d, BITS), "graph vertices")
     return _fingerprint(1 << d, d << d >> 1, _hypercube_edges(d))
 
 
@@ -322,8 +320,7 @@ def _parse_graph_lines(lines) -> Graph:
         raise GraphFormatError(f"line {lineno}: expected 'n m' header")
     n = _parse_int(parts[0], lineno, "vertex count")
     m = _parse_int(parts[1], lineno, "edge count")
-    if n > MAX_GRAPH_N:
-        raise BudgetError(f"line {lineno}: {n} vertices exceed budget {MAX_GRAPH_N}")
+    check(f"line {lineno}: graph header", n, "graph vertices")
 
     def edges():
         for lineno, parts in rows:

@@ -25,6 +25,7 @@ from heapq import heappop, heappush
 from itertools import compress
 from operator import add, and_
 
+from .budget import check
 from .graph import Graph, PathSystem
 from .labeling import Labeling, _from_hub_lists
 
@@ -62,6 +63,9 @@ def greedy_hl(g: Graph, log=None) -> Labeling:
 def greedy_run(g: Graph, log=None) -> GreedyRun:
     """Run the greedy construction; `log` (a stream) gets one line per round."""
     n = g.n
+    # each center keeps the ids of up to n(n+1)/2 pairs as machine integers
+    typecode = "i" if n * n < 1 << 31 else "q"
+    check(f"greedy_run(n={n})", n * n * (n + 1) // 2 * array(typecode).itemsize, "store bytes")
     if n == 0:
         return GreedyRun(Labeling([], fingerprint=g.fingerprint()), [])
     if not g.is_connected():
@@ -79,10 +83,8 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
     uncovered = bytearray([1]) * (n * n)
     left = n * (n + 1) // 2
     # per-center ids of coverable pairs, ascending, pruned as pairs get
-    # covered; held as machine integers, since there can be up to about
-    # n^3 / 2 of them. v covers (i, j) iff dist[v][i] + dist[v][j] ==
-    # dist[i][j]: j is at some distance k from v and k + dist[v][i] from i.
-    typecode = "i" if n * n < 1 << 31 else "q"
+    # covered. v covers (i, j) iff dist[v][i] + dist[v][j] == dist[i][j]:
+    # j is at some distance k from v and k + dist[v][i] from i.
     coverable = []
     for v in range(n):
         dv, lv = dist[v], layers[v]

@@ -16,15 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .budget import LIMITS, BudgetError, check
+
 LEQ = "<="
 GEQ = ">="
 
-#: Most cells the dense tableau of one solve may have.
-MAX_CELLS = 3_000_000
-
-
-class LPSizeError(ValueError):
-    """Instance exceeds the tableau-size guard MAX_CELLS."""
+MAX_CELLS = LIMITS["Fraction cells"]  # most cells of a tableau or a materialized LP
+LPSizeError = BudgetError  # the old name of a tableau's refusal
 
 
 class LPCertificateError(ArithmeticError):
@@ -135,6 +133,8 @@ def solve(lp: RationalLP) -> LPSolution:
     is returned only after `certify` accepts the primal-dual pair.
     """
     packing = lp.sense == "max"
+    m, n = (lp.num_vars, lp.num_rows) if packing else (lp.num_rows, lp.num_vars)
+    check(f"{lp.name}: tableau", (m + 1) * (n + m + 1), "Fraction cells")
     if packing:
         cost = [rhs for _, _, rhs in lp.rows]
         matrix = [[coeffs[j] for coeffs, _, _ in lp.rows] for j in range(lp.num_vars)]
@@ -143,7 +143,7 @@ def solve(lp: RationalLP) -> LPSolution:
         cost = lp.objective
         matrix = [coeffs for coeffs, _, _ in lp.rows]
         demand = [rhs for _, _, rhs in lp.rows]
-    result = _dual_simplex(cost, matrix, demand, lp.name)
+    result = _dual_simplex(cost, matrix, demand)
     if result is None:
         # the origin is feasible for a packing program, so an infeasible
         # transpose means an unbounded packing program
@@ -153,7 +153,7 @@ def solve(lp: RationalLP) -> LPSolution:
     return LPSolution(status="optimal", value=certify(lp, x, y), values=x, duals=y)
 
 
-def _dual_simplex(cost: list, matrix: list, demand: list, name: str) -> Optional[tuple]:
+def _dual_simplex(cost: list, matrix: list, demand: list) -> Optional[tuple]:
     """min cost.z subject to matrix z >= demand, z >= 0, for cost >= 0.
 
     Returns (z, row multipliers), or None when the program is infeasible.
@@ -166,8 +166,6 @@ def _dual_simplex(cost: list, matrix: list, demand: list, name: str) -> Optional
     """
     m, n = len(matrix), len(cost)
     width = n + m + 1
-    if (m + 1) * width > MAX_CELLS:
-        raise LPSizeError(f"{name}: tableau of {(m + 1) * width} cells exceeds guard {MAX_CELLS}")
     zero, one = Fraction(0), Fraction(1)
     tab = []
     for i, (coeffs, r) in enumerate(zip(matrix, demand)):

@@ -12,14 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 from typing import Optional
 
+from .budget import BITS, check
 from .constructions import VertexOrder, canonical_labeling
-from .graph import Graph, PathSystem, SubcubeDescriptor
+from .graph import Graph, PathSystem, SubcubeDescriptor, check_dimension
 from .labeling import Labeling, _from_hub_lists, total_size
-
-MAX_BRUTE_HL_N = 6
-MAX_BRUTE_HHL_D = 3
 
 
 @dataclass
@@ -40,8 +39,7 @@ def brute_optimal_hl(g: Graph) -> OracleResult:
     Every pair counts, the self-pairs (v, v) included.
     """
     n = g.n
-    if n > MAX_BRUTE_HL_N:
-        raise ValueError(f"brute-force HL search capped at n <= {MAX_BRUTE_HL_N}")
+    check(f"brute_optimal_hl(n={n})", n, "branch-and-bound vertices")
     t0 = time.monotonic()
     if n == 0:
         return OracleResult(0, Labeling([], fingerprint=g.fingerprint()), 0, 0.0)
@@ -119,9 +117,11 @@ def brute_optimal_hl(g: Graph) -> OracleResult:
 
 def brute_optimal_hhl_hypercube(d: int) -> OracleResult:
     """Minimum canonical-labeling size over all vertex orders of the
-    d-dimensional hypercube (d <= 3: at most 8! orders)."""
-    if not 0 <= d <= MAX_BRUTE_HHL_D:
-        raise ValueError(f"order enumeration capped at d <= {MAX_BRUTE_HHL_D}")
+    d-dimensional hypercube: (2^d)! orders, each checking the 6^d members
+    of its vertex pairs' subcubes."""
+    check_dimension(d)
+    steps = factorial(min(1 << min(d, BITS), BITS)) * 6 ** min(d, BITS)
+    check(f"brute_optimal_hhl_hypercube(d={d})", steps, "search steps")
     t0 = time.monotonic()
     n = 1 << d
     # members of the subcube through 0 with each free mask; v ^ s runs over

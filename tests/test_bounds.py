@@ -305,7 +305,7 @@ def test_lp_builder_caps():
     with pytest.raises(ValueError):
         B.build_dual_lp(4)
     with pytest.raises(ValueError):
-        B.build_primal_lp(3)
+        B.build_primal_lp(4)
 
 
 def test_bound_report_consistency():

@@ -169,7 +169,7 @@ def test_canonical_bad_orders_are_typed_errors(capsys, tmp_path):
         assert "invalid literal" not in err
 
 
-def test_greedy_scheme_and_max_n(capsys, tmp_path):
+def test_greedy_scheme(capsys, tmp_path):
     gpath = str(tmp_path / "h2.g")
     run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)
     lpath = str(tmp_path / "g.hl")
@@ -178,27 +178,23 @@ def test_greedy_scheme_and_max_n(capsys, tmp_path):
     )
     assert rc == 0
     assert "iter 1:" in err  # progress goes to stderr
-    rc, _, err = run(
-        capsys, "build", "--scheme", "greedy", "--graph", gpath,
-        "--out", lpath, "--max-n", "2",
-    )
-    assert rc == 1
 
 
-def test_greedy_default_max_n_rejects_q9(capsys, tmp_path, monkeypatch):
-    import hublab.cli as cli
+def test_greedy_refuses_q10_before_bfs(capsys, tmp_path, monkeypatch):
+    import hublab.graph as graph
 
     def never(*args, **kwargs):
-        raise AssertionError("greedy started")
+        raise AssertionError("a BFS row was computed")
 
-    monkeypatch.setattr(cli, "greedy_run", never)
-    gpath = str(tmp_path / "h9.g")
-    run(capsys, "gen", "hypercube", "--d", "9", "--out", gpath)
+    gpath = str(tmp_path / "h10.g")
+    run(capsys, "gen", "hypercube", "--d", "10", "--out", gpath)
+    monkeypatch.setattr(graph, "bfs_distances", never)
     rc, _, err = run(
         capsys, "build", "--scheme", "greedy", "--graph", gpath, "--out", str(tmp_path / "g.hl")
     )
     assert rc == 1
-    assert "error: graph has 512 vertices; greedy capped at 256" in err
+    # 1024 * 1024 * 1025 / 2 pair ids of 4 bytes
+    assert err == "error: greedy_run(n=1024) needs 2149580800 store bytes; budget 536870912\n"
 
 
 def test_canonical_random_order_file_is_pinned(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hublab.lp as lp_module
+from hublab import budget
 from hublab.bounds import build_dual_lp, build_primal_lp, build_regular_lp
 from hublab.lp import (
     GEQ,
@@ -239,7 +239,7 @@ def test_weak_duality_on_feasible_points():
 
 
 def test_size_guard_names_instance(monkeypatch):
-    monkeypatch.setattr(lp_module, "MAX_CELLS", 1)
+    monkeypatch.setitem(budget.LIMITS, "Fraction cells", 1)
     lp = RationalLP("max", [F(1)], [([F(1)], LEQ, F(1))], name="guard-demo")
     with pytest.raises(LPSizeError) as e:
         solve(lp)
