@@ -468,9 +468,16 @@ def regular_lp_optimum(d: int) -> LPSolution:
         rows.append(row(S))
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    """Unordered vertex pairs, self-pairs included, in ascending order."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def _center_pairs(g: Graph) -> list:
+    """Per center v, the pairs (i, j, index), i <= j, with v on a shortest
+    i-j path, from `PathSystem.pairs_through`; index is the pair's position
+    in the ascending order of all n(n+1)/2 pairs."""
+    n = g.n
+    through = PathSystem(g).pairs_through
+    return [
+        [(i, j, p - i * (i + 1) // 2) for p in through(v) for i, j in [divmod(p, n)]]
+        for v in range(n)
+    ]
 
 
 def build_dual_lp(d: int) -> RationalLP:
@@ -481,16 +488,12 @@ def build_dual_lp(d: int) -> RationalLP:
     check_dimension(d)
     n = 1 << min(d, BITS)
     check(f"build_dual_lp(d={d})", n * n * (n + 1) // 2 << min(n, BITS), "Fraction cells")
-    pairs = _all_pairs(n)
-    on_path = PathSystem(hypercube(d)).on_path
-    covered = [
-        [(i, j, idx) for idx, (i, j) in enumerate(pairs) if on_path(v, i, j)] for v in range(n)
-    ]
+    num_pairs = n * (n + 1) // 2
     return RationalLP(
         sense="max",
-        objective=[Fraction(1)] * len(pairs),
-        rows=_packing_rows(n, covered, len(pairs)),
-        var_names=[f"y[{i},{j}]" for i, j in pairs],
+        objective=[Fraction(1)] * num_pairs,
+        rows=_packing_rows(n, _center_pairs(hypercube(d)), num_pairs),
+        var_names=[f"y[{i},{j}]" for i in range(n) for j in range(i, n)],
         name=f"dual-lp-d{d}",
     )
 
@@ -509,37 +512,25 @@ def build_primal_lp_graph(g: Graph) -> RationalLP:
 
 
 def _primal_lp_generic(g: Graph, name) -> RationalLP:
+    """The covering LP: one row per pair i <= j in ascending order, and
+    x[v,S] in column v(2^n - 1) + S - 1."""
     n = g.n
+    sets = (1 << n) - 1
     # n(n+1)/2 pair rows, each with a cell for the n(2^n - 1) variables
-    check(name, n * (n + 1) // 2 * n * ((1 << n) - 1), "Fraction cells")
-    if not g.is_connected():
-        raise ValueError("cover is impossible for a disconnected graph")
-    on_path = PathSystem(g).on_path
-    pairs = _all_pairs(n)
-    variables = []  # (v, S)
-    for v in range(n):
-        for S in range(1, 1 << n):
-            variables.append((v, S))
-    vidx = {vs: i for i, vs in enumerate(variables)}
-    rows = []
-    names = []
-    for i, j in pairs:
-        coeffs = [Fraction(0)] * len(variables)
-        pm = (1 << i) | (1 << j)
-        for v in range(n):
-            if not on_path(v, i, j):
-                continue
+    check(name, n * (n + 1) // 2 * n * sets, "Fraction cells")
+    rows = [[0] * (n * sets) for _ in range(n * (n + 1) // 2)]
+    for v, pairs in enumerate(_center_pairs(g)):
+        for i, j, r in pairs:
+            pm = (1 << i) | (1 << j)
             for S in range(1, 1 << n):
                 if S & pm == pm:
-                    coeffs[vidx[(v, S)]] = Fraction(1)
-        rows.append((coeffs, GEQ, Fraction(1)))
-        names.append(f"pair[{i},{j}]")
+                    rows[r][v * sets + S - 1] = 1
     return RationalLP(
         sense="min",
-        objective=[Fraction(S.bit_count()) for _, S in variables],
-        rows=rows,
-        var_names=[f"x[{v},{S:#x}]" for v, S in variables],
-        row_names=names,
+        objective=[S.bit_count() for _ in range(n) for S in range(1, 1 << n)],
+        rows=[(coeffs, GEQ, 1) for coeffs in rows],
+        var_names=[f"x[{v},{S:#x}]" for v in range(n) for S in range(1, 1 << n)],
+        row_names=[f"pair[{i},{j}]" for i in range(n) for j in range(i, n)],
         name=name,
     )
 

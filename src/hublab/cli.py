@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Context
 from fractions import Fraction
 
 from . import bounds as bnd
@@ -51,7 +52,12 @@ def _require_hypercube(g: Graph) -> int:
 def _fmt_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
-    return f"{x.numerator}/{x.denominator} (~{float(x):.6g})"
+    if abs(x) < sys.float_info.max:
+        approx = float(x)
+    else:  # past the float range, round to 6 digits in decimal, as `g` does
+        six = Context(prec=6)
+        approx = six.divide(x.numerator, x.denominator).normalize(six)
+    return f"{x.numerator}/{x.denominator} (~{approx:.6g})"
 
 
 def _int_at_least(low: int):
@@ -104,10 +110,11 @@ def _parse_order(spec: str, d: int) -> cons.VertexOrder:
     if spec.startswith("random:"):
         return cons.VertexOrder.random(d, _order_int(spec.split(":", 1)[1], "random: seed"))
     with open(spec) as f:
+        lines = ((lineno, line.strip()) for lineno, line in enumerate(f, start=1))
         seq = [
             _order_int(line.split()[0], f"{spec}: line {lineno}: vertex")
-            for lineno, line in enumerate(f, start=1)
-            if line.strip() and not line.startswith("#")
+            for lineno, line in lines
+            if line and not line.startswith("#")
         ]
     return cons.VertexOrder(seq)
 

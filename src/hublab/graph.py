@@ -95,11 +95,6 @@ class Graph:
             self._fingerprint = _fingerprint(self.n, self.m, self._edge_iter())
         return self._fingerprint
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return all(x != INFINITY for x in bfs_distances(self, 0))
-
 
 def _fingerprint(n: int, m: int, edges: Iterable[tuple[int, int]]) -> tuple[int, int, str]:
     """(n, m, hash) of a graph from its m edges (u, v), u < v, in ascending
@@ -166,14 +161,18 @@ class PathSystem:
     On a hypercube both come from Hamming arithmetic on vertex ids. On any
     other graph they come from one BFS row per source, built the first time
     that source is asked about and kept.
+
+    A pair i <= j of an n-vertex graph has the id i * n + j; self-pairs
+    count. `pairs_through(v)` lists the pairs with v on a shortest path.
     """
 
-    __slots__ = ("g", "_cube", "_rows")
+    __slots__ = ("g", "_cube", "_rows", "_layers")
 
     def __init__(self, g: Graph):
         self.g = g
         self._cube = g.is_hypercube is not None
         self._rows: dict = {}
+        self._layers = None
 
     def row(self, s: int) -> list:
         """Distances from s to every vertex; INFINITY where unreachable."""
@@ -197,6 +196,36 @@ class PathSystem:
             return not (s ^ h) & (t ^ h)
         rs, rt = self.row(s), self.row(t)
         return rs[h] + rt[h] == rs[t] != INFINITY
+
+    def pairs_through(self, v: int) -> Iterator[int]:
+        """The ids i * n + j, ascending, of the pairs i <= j with v on a
+        shortest i-j path. A disconnected graph raises ValueError, since the
+        pairs in two components have no center."""
+        if self._layers is None:
+            layers = []  # [x][k]: bitset of the vertices j with d(x, j) == k
+            for row in map(self.row, range(self.g.n)):
+                top = max(row)
+                if top == INFINITY:
+                    raise ValueError("cover is impossible for a disconnected graph")
+                lx = [0] * (top + 1)
+                for j, k in enumerate(row):
+                    lx[k] |= 1 << j
+                layers.append(lx)
+            self._layers = layers
+        # v covers (i, j) iff d(v, i) + d(v, j) == d(i, j): j is at some
+        # distance k from v and k + d(v, i) from i
+        n, layers = self.g.n, self._layers
+        dv, lv = self.row(v), layers[v]
+        for i in range(n):
+            mask = 0
+            for lvk, lik in zip(lv, layers[i][dv[i]:]):
+                mask |= lvk & lik
+            mask = mask >> i << i  # j >= i
+            base = i * n - 1
+            while mask:
+                low = mask & -mask
+                yield base + low.bit_length()
+                mask ^= low
 
 
 @dataclass(frozen=True)

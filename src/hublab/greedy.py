@@ -68,38 +68,13 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
     check(f"greedy_run(n={n})", n * n * (n + 1) // 2 * array(typecode).itemsize, "store bytes")
     if n == 0:
         return GreedyRun(Labeling([], fingerprint=g.fingerprint()), [])
-    if not g.is_connected():
-        raise ValueError("greedy labeling requires a connected graph")
-    dist = list(map(PathSystem(g).row, range(n)))
-    layers = []  # layers[x][k]: bitset of the vertices j with dist[x][j] == k
-    for row in dist:
-        lx = [0] * (max(row) + 1)
-        for j, k in enumerate(row):
-            lx[k] |= 1 << j
-        layers.append(lx)
-
-    # pair ids: p = i * n + j for i <= j; self-pairs included (covered only
-    # by their own vertex as center); uncovered[p] flags the pairs left
+    paths = PathSystem(g)
+    # pair ids p = i * n + j, i <= j, as in `PathSystem`; a self-pair is
+    # covered only by its own vertex as center; uncovered[p] flags the pairs left
     uncovered = bytearray([1]) * (n * n)
     left = n * (n + 1) // 2
-    # per-center ids of coverable pairs, ascending, pruned as pairs get
-    # covered. v covers (i, j) iff dist[v][i] + dist[v][j] == dist[i][j]:
-    # j is at some distance k from v and k + dist[v][i] from i.
-    coverable = []
-    for v in range(n):
-        dv, lv = dist[v], layers[v]
-        ids = array(typecode)
-        for i in range(n):
-            mask = 0
-            for lvk, lik in zip(lv, layers[i][dv[i]:]):
-                mask |= lvk & lik
-            mask = mask >> i << i  # j >= i
-            base = i * n - 1
-            while mask:
-                low = mask & -mask
-                ids.append(base + low.bit_length())
-                mask ^= low
-        coverable.append(ids)
+    # per-center ids of coverable pairs, ascending, pruned as pairs get covered
+    coverable = [array(typecode, paths.pairs_through(v)) for v in range(n)]
 
     labels: list[set] = [set() for _ in range(n)]
     size = 0
@@ -205,5 +180,7 @@ def greedy_run(g: Graph, log=None) -> GreedyRun:
                 f"density {dens} covered {newly} uncovered {left} size {size}",
                 file=log,
             )
-    final = _from_hub_lists([sorted(hs) for hs in labels], dist, g.fingerprint())
+    final = _from_hub_lists(
+        [sorted(hs) for hs in labels], list(map(paths.row, range(n))), g.fingerprint()
+    )
     return GreedyRun(labeling=final, steps=steps, evaluations=evaluations)

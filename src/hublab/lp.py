@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .budget import LIMITS, BudgetError, check
+from .budget import BudgetError, check
 
 LEQ = "<="
 GEQ = ">="
 
-MAX_CELLS = LIMITS["Fraction cells"]  # most cells of a tableau or a materialized LP
 LPSizeError = BudgetError  # the old name of a tableau's refusal
 
 

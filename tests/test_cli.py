@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 import sys
 
 import pytest
@@ -148,6 +149,18 @@ def test_canonical_order_variants(capsys, tmp_path):
     assert rc == 0 and "size 9" in out
 
 
+def test_order_file_skips_an_indented_comment(capsys, tmp_path):
+    gpath = str(tmp_path / "h2.g")
+    run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)
+    ofile = tmp_path / "order.txt"
+    ofile.write_text("  # note\n3\n\t# another\n2\n1\n0\n")
+    rc, out, err = run(
+        capsys, "build", "--scheme", "canonical", "--graph", gpath,
+        "--out", str(tmp_path / "c.hl"), "--order", str(ofile),
+    )
+    assert rc == 0 and "size 9" in out and err == ""
+
+
 def test_canonical_bad_orders_are_typed_errors(capsys, tmp_path):
     gpath = str(tmp_path / "h2.g")
     run(capsys, "gen", "hypercube", "--d", "2", "--out", gpath)
@@ -286,6 +299,15 @@ def test_bounds_lp_reports_ropt_d8(capsys):
     rc, out, _ = run(capsys, "bounds", "--d", "8", "--lp")
     assert rc == 0 and "ROPT = 9728/3" in out
     assert "sandwich: max_k psi(k) = 1536 <= ROPT = 9728/3" in out
+
+
+@pytest.mark.parametrize("d", [775, 1000])
+def test_bounds_max_psi_past_the_float_range(capsys, d):
+    # max psi passes 1.8e308 at d = 775; its approximation is still printed
+    rc, out, _ = run(capsys, "bounds", "--d", str(d))
+    assert rc == 0
+    line = out.splitlines()[-1]
+    assert re.fullmatch(r"argmax k = \d+, max psi = \d+/\d+ \(~\d(\.\d+)?e\+\d+\)", line), line
 
 
 def test_bounds_deterministic(capsys):

@@ -102,6 +102,20 @@ def test_path_system_on_random_graphs(seed):
     _assert_on_path_by_bfs(random_connected_graph(5 + 3 * seed, 2 * seed, seed=seed))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [hypercube(d) for d in range(6)]
+    + [Graph(16, hypercube(4).edges)]
+    + [random_connected_graph(8 + 5 * seed, 3 * seed, seed=seed) for seed in range(3)],
+)
+def test_pairs_through_lists_the_on_path_pairs(g):
+    paths = PathSystem(g)
+    n = g.n
+    for v in range(n):
+        expected = [i * n + j for i in range(n) for j in range(i, n) if paths.on_path(v, i, j)]
+        assert list(paths.pairs_through(v)) == expected
+
+
 def test_path_system_unreachable_pair_has_no_path():
     paths = PathSystem(Graph(3, [(0, 1)]))
     assert list(paths.dists(0, [2, 1])) == [float("inf"), 1]
