@@ -314,10 +314,10 @@ def build_regular_lp(d: int) -> RationalLP:
     )
 
 
-def _min_cut(n: int, arcs: list, s: int, t: int) -> tuple[int, list]:
-    """Maximum s-t flow value over integer-capacity arcs (u, v, cap) on nodes
-    0..n-1, by Dinic's algorithm, and the source side of a minimum cut as a
-    per-node flag (the nodes the residual graph reaches from s)."""
+def _min_cut(n: int, arcs: list, s: int, t: int) -> tuple[int, list, list]:
+    """Maximum s-t flow value over integer-capacity arcs (u, v, cap) on nodes 0..n-1,
+    by Dinic's algorithm; the source side of a minimum cut (the nodes the residual graph
+    reaches from s) as per-node flags; the residual capacities, arc i's at 2 * i."""
     head, cap, out = [], [], [[] for _ in range(n)]
     for u, v, c in arcs:
         out[u].append(len(head))
@@ -337,7 +337,7 @@ def _min_cut(n: int, arcs: list, s: int, t: int) -> tuple[int, list]:
                     level[head[e]] = level[u] + 1
                     queue.append(head[e])
         if level[t] < 0:
-            return flow, [lv >= 0 for lv in level]
+            return flow, [lv >= 0 for lv in level], cap
         # blocking flow: depth-first along level-increasing arcs, each node
         # resuming at the first arc it has not yet found useless
         nxt = [0] * n
@@ -382,8 +382,8 @@ def most_violated_subset(d: int, y: dict) -> tuple[Fraction, int]:
     self-pair (0, 0) has one), and each vertex drains 1 into the sink.
     Classes absent from y take no part, so a y without 0 leaves out the
     self-pair. Capacities are the weights times their common denominator,
-    so the cut is exact; the closure's own value must equal the flow's
-    bound, which proves it maximal.
+    so the cut is exact; the residual capacities must give a feasible flow,
+    and the closure's own value its bound, which proves the closure maximal.
     """
     for k in y:
         _check_k(d, k)
@@ -407,7 +407,15 @@ def _most_violated(d: int, pairs: list, y: dict) -> tuple[Fraction, int]:
     for p, (i, j, w) in enumerate(pairs, start=2 + n):
         arcs.append((0, p, w))
         arcs.extend((p, 2 + v, total + 1) for v in {i, j})
-    flow, source_side = _min_cut(2 + n + len(pairs), arcs, 0, 1)
+    flow, source_side, residual = _min_cut(2 + n + len(pairs), arcs, 0, 1)
+    net = [0] * len(source_side)  # inflow minus outflow per node
+    for (u, v, c), r in zip(arcs, residual[::2]):
+        if not 0 <= c - r <= c:
+            raise BoundCheckError(f"d={d}: arc ({u}, {v}) carries {c - r} of capacity {c}")
+        net[u] -= c - r
+        net[v] += c - r
+    if net[0] != -flow or any(net[2:]):
+        raise BoundCheckError(f"d={d}: the cut's flow is not a flow of value {flow}")
     S = sum(1 << v for v in range(n) if source_side[2 + v])
     gain = sum(w for i, j, w in pairs if S >> i & 1 and S >> j & 1) - scale * S.bit_count()
     if gain != total - flow:

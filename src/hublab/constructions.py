@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from itertools import accumulate
 from operator import xor
 from typing import Optional, Sequence
 
@@ -73,23 +74,33 @@ def _fingerprint(d: int, graph: Optional[Graph]):
 
 
 def subset_hhl(d: int, graph: Optional[Graph] = None) -> Labeling:
-    """L(v) = all ids that are bit-subsets of v; hierarchical, size 3^d."""
+    """L(v) = all ids that are bit-subsets of v; hierarchical, size 3^d.
+
+    With c = ceil(d/2) low coordinates, L(v) is, for each subset hh of v's
+    high half in ascending order, hh << c | L_low(v_low): a block of the
+    table of hh, at distance popcount(v_high ^ hh) more than in Q_c."""
     check_dimension(d)
     check(f"subset_hhl(d={d})", 3 ** min(d, BITS) * ENTRY_BYTES, "store bytes")
-    n = 1 << d
-    offsets, hubs, dists = array("q", [0, 1]), array("i", [0]), array("i", [0])
-    for v in range(1, n):
-        # with b the top bit of v and u = v - b, the ascending bit-subsets of
-        # v are those of u followed by each of them plus b, one step nearer
-        b = 1 << (v.bit_length() - 1)
-        lo, hi = offsets[v - b], offsets[v - b + 1]
-        sub_hubs, sub_dists = hubs[lo:hi], dists[lo:hi]
-        hubs.extend(sub_hubs)
-        hubs.extend(map(b.__or__, sub_hubs))
-        dists.extend(map((1).__add__, sub_dists))
-        dists.extend(sub_dists)
-        offsets.append(len(hubs))
-    return Labeling._from_arrays(offsets, hubs, dists, _fingerprint(d, graph))
+    fingerprint = _fingerprint(d, graph)
+    c = (d + 1) // 2
+    low = ((w, popcount(v ^ w)) for v in range(1 << c) for w in range(v + 1) if not w & ~v)
+    low_hubs, low_dists = (array("i", column) for column in zip(*low))  # L_low, label by label
+    # per hh and per extra distance k, as bytes; L_low(v_low) ends at byte ends[v_low + 1]
+    tables = [array("i", map((hh << c).__or__, low_hubs)).tobytes() for hh in range(1 << (d - c))]
+    plus = [array("i", map(k.__add__, low_dists)).tobytes() for k in range(d - c + 1)]
+    ends = list(accumulate((low_hubs.itemsize << popcount(v) for v in range(1 << c)), initial=0))
+    offsets = array("q", accumulate((1 << popcount(v) for v in range(1 << d)), initial=0))
+    hubs, dists = array("i", [0]) * 3 ** d, array("i", [0]) * 3 ** d
+    out_hubs, out_dists = memoryview(hubs).cast("B"), memoryview(dists).cast("B")
+    pos = 0
+    for vh in range(1 << (d - c)):
+        blocks = [(tables[hh], plus[popcount(vh ^ hh)]) for hh in range(vh + 1) if not hh & ~vh]
+        for s in map(slice, ends, ends[1:]):
+            label = b"".join([hub[s] for hub, _ in blocks])
+            out_hubs[pos:pos + len(label)] = label
+            out_dists[pos:pos + len(label)] = b"".join([dist[s] for _, dist in blocks])
+            pos += len(label)
+    return Labeling._from_arrays(offsets, hubs, dists, fingerprint)
 
 
 def canonical_labeling(
@@ -182,30 +193,29 @@ def halfsplit_hl(d: int, graph: Optional[Graph] = None) -> Labeling:
     """
     check_dimension(d)
     check(f"halfsplit_hl(d={d})", halfsplit_sizes(min(d, BITS))[0] * ENTRY_BYTES, "store bytes")
+    fingerprint = _fingerprint(d, graph)
     n = 1 << d
-    last_len = d - d // 2  # number of low (last) bits fixed by family B
-    size_a, size_b = 1 << last_len, 1 << (d - last_len)
-    # dist(v, w) = popcount(tail(v) ^ tail(w)) within family A, and
-    # popcount(head(v) ^ head(w)) within family B (heads shifted down)
+    size_a, size_b = 1 << (d - d // 2), 1 << (d // 2)  # family B fixes the last ceil(d/2) bits
+    width = size_a + size_b - 1
+    # family A of head h holds h * size_a + u, at distance popcount(t ^ u)
+    # from v; family B of tail t holds u * size_a + t, at popcount(h ^ u)
+    fam_b = [array("i", range(t, n, size_a)) for t in range(size_a)]
     dist_a = [array("i", [popcount(t ^ u) for u in range(size_a)]) for t in range(size_a)]
-    dist_b = [array("i", [popcount(h ^ u) for u in range(size_b)]) for h in range(size_b)]
-    offsets, hubs, dists = array("q", [0]), array("i"), array("i")
-    for v in range(n):
-        h, t = divmod(v, size_a)
-        head = v - t
+    offsets = array("q", range(0, n * width + 1, width))
+    hubs, dists = array("i", [0]) * (n * width), array("i", [0]) * (n * width)
+    pos = 0
+    for h in range(size_b):
         # ascending: family B below head, family A (holding v), family B above
-        hubs.extend(range(t, head, size_a))
-        hubs.extend(range(head, head + size_a))
-        hubs.extend(range(head + size_a + t, n, size_a))
-        dists.extend(dist_b[h][:h])
-        dists.extend(dist_a[t])
-        dists.extend(dist_b[h][h + 1:])
-        offsets.append(len(hubs))
-    return Labeling._from_arrays(offsets, hubs, dists, _fingerprint(d, graph))
+        a = array("i", range(h * size_a, (h + 1) * size_a))
+        below, above = dist_a[h][:h], dist_a[h][h + 1:size_b]  # size_b <= size_a
+        for b, da in zip(fam_b, dist_a):
+            hubs[pos:pos + width] = b[:h] + a + b[h + 1:]
+            dists[pos:pos + width] = below + da + above
+            pos += width
+    return Labeling._from_arrays(offsets, hubs, dists, fingerprint)
 
 
 def halfsplit_common_hub(d: int, s: int, t: int) -> int:
     """The on-path common hub (first half of t, last half of s)."""
-    last_len = d - d // 2
-    low_mask = (1 << last_len) - 1
+    low_mask = (1 << (d - d // 2)) - 1
     return (t & ~low_mask) | (s & low_mask)

@@ -5,7 +5,7 @@ import hashlib
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from math import inf
 from typing import Iterable, Iterator, Optional
 
@@ -92,27 +92,28 @@ class Graph:
     def fingerprint(self) -> tuple[int, int, str]:
         """(n, m, hash) triple binding labelings to this graph."""
         if self._fingerprint is None:
-            self._fingerprint = _fingerprint(self.n, self.m, self._edge_iter())
+            higher = (a[bisect_right(a, u):] for u, a in enumerate(self.adj))
+            self._fingerprint = _fingerprint(self.n, self.m, higher)
         return self._fingerprint
 
 
-def _fingerprint(n: int, m: int, edges: Iterable[tuple[int, int]]) -> tuple[int, int, str]:
-    """(n, m, hash) of a graph from its m edges (u, v), u < v, in ascending
-    order, hashed 1024 edges at a time."""
+def _fingerprint(n: int, m: int, higher: Iterable) -> tuple[int, int, str]:
+    """(n, m, hash) of a graph from each vertex u's ascending neighbours above
+    u, in vertex order: SHA-256 of "n m", then " u,v" for each edge u < v."""
     h = hashlib.sha256(f"{n} {m}".encode())
-    edges = iter(edges)
-    while chunk := "".join(f" {u},{v}" for u, v in islice(edges, 1024)):
-        h.update(chunk.encode())
+    ids = list(map(str, range(n)))
+    for u, above in enumerate(higher):
+        if above:
+            pre = f" {u},"
+            h.update((pre + pre.join(map(ids.__getitem__, above))).encode())
     return (n, m, h.hexdigest()[:16])
 
 
-def _hypercube_edges(d: int) -> Iterator[tuple[int, int]]:
-    """The edges (v, w), v < w, of Q_d in ascending order."""
+def _hypercube_higher(d: int) -> Iterator[list[int]]:
+    """Each vertex v's ascending neighbours above v in Q_d, in vertex order."""
     bits = [1 << b for b in range(d)]
     for v in range(1 << d):
-        for b in bits:
-            if not v & b:
-                yield v, v | b
+        yield [v | b for b in bits if not v & b]
 
 
 def check_dimension(d: int) -> None:
@@ -125,14 +126,15 @@ def hypercube(d: int) -> Graph:
     """d-dimensional hypercube: ids 0..2^d-1, edges between ids differing in one bit."""
     check_dimension(d)
     check(f"Q_{d}", 1 << min(d, BITS), "graph vertices")
-    return Graph(1 << d, _hypercube_edges(d), is_hypercube=d)
+    edges = ((v, w) for v, above in enumerate(_hypercube_higher(d)) for w in above)
+    return Graph(1 << d, edges, is_hypercube=d)
 
 
 def hypercube_fingerprint(d: int) -> tuple[int, int, str]:
-    """hypercube(d).fingerprint(), streamed from the edge list without building the graph."""
+    """hypercube(d).fingerprint(), streamed from the neighbours without building the graph."""
     check_dimension(d)
     check(f"Q_{d}", 1 << min(d, BITS), "graph vertices")
-    return _fingerprint(1 << d, d << d >> 1, _hypercube_edges(d))
+    return _fingerprint(1 << d, d << d >> 1, _hypercube_higher(d))
 
 
 def bfs_distances(g: Graph, source: int) -> list:

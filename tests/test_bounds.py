@@ -360,6 +360,35 @@ def test_separation_zero_exactly_at_inverse_density(d):
         assert B.most_violated_subset(d, {k: y_k * F(101, 100)})[0] > 0
 
 
+def test_separation_checks_the_cut_flow(monkeypatch):
+    # a min cut that misreports its flow, or whose residual capacities imply
+    # no feasible flow, is refused before its closure is used
+    real = B._min_cut
+    y = {1: F(1, 2), 2: F(1, 3)}
+    B.most_violated_subset(3, y)
+
+    def wrong_value(*args):
+        flow, side, residual = real(*args)
+        return flow + 1, side, residual
+
+    def overfull(*args):
+        flow, side, residual = real(*args)
+        residual[0] = -1  # arc 0 carries more than its capacity
+        return flow, side, residual
+
+    def leaking(*args):
+        flow, side, residual = real(*args)
+        i = next(i for i in range(0, len(residual), 2) if residual[i] and residual[i + 1])
+        residual[i] -= 1  # one more unit through arc i / 2 than its ends pass on
+        return flow, side, residual
+
+    for fake, message in ((wrong_value, "not a flow of value"), (overfull, "carries"),
+                          (leaking, "not a flow of value")):
+        monkeypatch.setattr(B, "_min_cut", fake)
+        with pytest.raises(B.BoundCheckError, match=message):
+            B.most_violated_subset(3, y)
+
+
 @pytest.mark.parametrize("d", range(5))
 def test_row_generation_matches_materialized_lp(d):
     sol = B.regular_lp_optimum(d)

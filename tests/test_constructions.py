@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 from array import array
 
 import pytest
 
 from hublab.constructions import (
     CANONICAL_ENTRY_BYTES,
+    ENTRY_BYTES,
     VertexOrder,
     canonical_labeling,
     fits_store_budget,
@@ -50,6 +52,55 @@ def test_subset_hub_distances():
         for h, dd in l:
             assert h & v == h  # hubs are bit-subsets of v
             assert dd == popcount(v ^ h) == popcount(v) - popcount(h)
+
+
+def by_definition(d, is_hub):
+    """The labeling whose L(v) holds every w with is_hub(v, w), ascending,
+    at distance popcount(v ^ w)."""
+    n = 1 << d
+    offsets, hubs, dists = array("q", [0]), array("i"), array("i")
+    for v in range(n):
+        for w in range(n):
+            if is_hub(v, w):
+                hubs.append(w)
+                dists.append(popcount(v ^ w))
+        offsets.append(len(hubs))
+    return offsets, hubs, dists
+
+
+def subset_by_definition(d):
+    """Every w with w & ~v == 0 is a hub of v."""
+    return by_definition(d, lambda v, w: w & ~v == 0)
+
+
+def halfsplit_by_definition(d):
+    """Every w that shares v's head (first floor(d/2) bits) or its tail
+    (last ceil(d/2) bits) is a hub of v."""
+    tail = (1 << (d - d // 2)) - 1
+    return by_definition(d, lambda v, w: (v ^ w) & ~tail == 0 or (v ^ w) & tail == 0)
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_constructions_equal_their_definitions(d):
+    for build, definition in ((subset_hhl, subset_by_definition),
+                              (halfsplit_hl, halfsplit_by_definition)):
+        lab = build(d)
+        assert (lab.offsets, lab.hubs, lab.dists) == definition(d), build.__name__
+        assert (lab.offsets.typecode, lab.hubs.typecode, lab.dists.typecode) == ("q", "i", "i")
+
+
+def test_construction_peaks_stay_near_their_stores():
+    # the traced peak of a d = 12 build is at most 1.1 times its predicted
+    # store; one table per (high subset, low half) reads 1.17 for subset_hhl
+    for build, entries in ((subset_hhl, 3 ** 12), (halfsplit_hl, halfsplit_sizes(12)[0])):
+        tracemalloc.start()
+        try:
+            lab = build(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total_size(lab) == entries
+        assert peak <= 1.1 * entries * ENTRY_BYTES, (build.__name__, peak)
 
 
 def canonical_by_definition(d, order):

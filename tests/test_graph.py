@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -233,3 +234,33 @@ def test_fingerprint_distinguishes_graphs():
 @pytest.mark.parametrize("d", range(11))
 def test_hypercube_fingerprint_streamed(d):
     assert hypercube_fingerprint(d) == hypercube(d).fingerprint()
+
+
+def fingerprint_by_definition(g):
+    """SHA-256 of "n m", then " u,v" for each edge u < v in ascending order;
+    the first 16 hex digits."""
+    text = f"{g.n} {g.m}" + "".join(f" {u},{v}" for u, v in sorted(g.edges))
+    return g.n, g.m, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_fingerprint_equals_definition():
+    graphs = [hypercube(d) for d in range(11)] + [
+        Graph(0, []),
+        Graph(1, []),
+        Graph(5, []),
+        Graph(6, [(4, 1), (1, 5)]),  # isolated 0, 2 and 3
+        Graph(7, [(6, 0), (2, 3), (0, 2)]),  # isolated 1, 4 and 5, vertex 6 last
+    ]
+    graphs += [random_connected_graph(n, extra, seed)
+               for seed, (n, extra) in enumerate([(2, 0), (10, 5), (40, 30), (120, 200)])]
+    for g in graphs:
+        assert g.fingerprint() == fingerprint_by_definition(g), (g.n, g.m)
+    for d in range(11):
+        assert hypercube_fingerprint(d) == fingerprint_by_definition(hypercube(d))
+
+
+def test_fingerprint_of_existing_label_files():
+    # label files written before hold these; they must still bind to Q10, Q12
+    assert hypercube_fingerprint(10) == (1024, 5120, "65b6fabce8cf7a5d")
+    assert hypercube_fingerprint(12) == (4096, 24576, "5464662a3b4fb87e")
+    assert hypercube(12).fingerprint() == (4096, 24576, "5464662a3b4fb87e")
